@@ -22,14 +22,22 @@ __all__ = [
 ]
 
 
+def _subset_count(n: int, sizes: range) -> int:
+    return sum(binomial(n, k) for k in sizes)
+
+
 def count_bicliques_brute(graph: BipartiteGraph, p: int, q: int) -> int:
-    """Count (p, q)-bicliques by enumerating left ``p``-subsets.
+    """Count (p, q)-bicliques by enumerating ``p``-subsets of one side.
 
     For every ``p``-subset of left vertices with common neighborhood of
-    size ``c``, there are ``C(c, q)`` bicliques.
+    size ``c``, there are ``C(c, q)`` bicliques.  When the right side
+    has fewer ``q``-subsets, the sides are swapped and the transposed
+    count is returned.
     """
     if p < 1 or q < 1:
         raise ValueError("p and q must be positive; use closed forms for 0")
+    if binomial(graph.n_right, q) < binomial(graph.n_left, p):
+        return count_bicliques_brute(graph.swap_sides(), q, p)
     total = 0
     for left in combinations(range(graph.n_left), p):
         common = graph.common_neighbors_of_left(left)
@@ -38,7 +46,19 @@ def count_bicliques_brute(graph: BipartiteGraph, p: int, q: int) -> int:
 
 
 def count_all_bicliques_brute(graph: BipartiteGraph, max_p: int, max_q: int) -> BicliqueCounts:
-    """All-pairs counts for ``1 <= p <= max_p``, ``1 <= q <= max_q``."""
+    """All-pairs counts for ``1 <= p <= max_p``, ``1 <= q <= max_q``.
+
+    Enumerates subsets of whichever side has fewer of them (up to the
+    side's bound), transposing the result when that is the right side.
+    """
+    left_cost = _subset_count(graph.n_left, range(1, max_p + 1))
+    right_cost = _subset_count(graph.n_right, range(1, max_q + 1))
+    if right_cost < left_cost:
+        swapped = count_all_bicliques_brute(graph.swap_sides(), max_q, max_p)
+        counts = BicliqueCounts(max_p, max_q)
+        for q, p, value in swapped.items():
+            counts.set(p, q, value)
+        return counts
     counts = BicliqueCounts(max_p, max_q)
     for p in range(1, max_p + 1):
         for left in combinations(range(graph.n_left), p):

@@ -26,19 +26,12 @@ also be fanned out over worker processes: pass ``workers=N`` to any entry
 point and the partial results are merged exactly (integer cells stay
 Python integers).
 
-Two traversal engines expand the same tree (see ``mode`` on
-:class:`EPivoter`):
-
-* the **scalar** engine — the explicit-stack, node-at-a-time loop in
-  :meth:`EPivoter._run_scalar`, the correctness twin every other path is
-  tested against;
-* the **frontier** engine (:mod:`repro.core.frontier`) — a
-  level-synchronous rewrite that expands whole batches of tree nodes
-  with vectorised numpy kernels, bit-identical to the scalar engine in
-  counts, traversal counters, and budget behaviour, several times
-  faster on real graphs.
-
-Counts are exact Python integers in both engines.
+Global and single-pair counts walk the tree with the **frontier**
+engine (:mod:`repro.core.frontier`), which expands whole
+level-synchronous batches of tree nodes with vectorised numpy kernels.
+Per-vertex (local) counts need vertex identities at every leaf, so they
+run the set-level walk :meth:`EPivoter._run_sets` over the same tree.
+Counts are exact Python integers either way.
 """
 
 from __future__ import annotations
@@ -46,6 +39,7 @@ from __future__ import annotations
 import time
 from typing import TYPE_CHECKING, Callable
 
+from repro.core import frontier
 from repro.core.counts import BicliqueCounts
 from repro.graph.bigraph import BipartiteGraph
 from repro.graph.core_decomposition import core_for_biclique
@@ -108,11 +102,6 @@ LeafVisitor = Callable[[list[int], list[int], list[int], list[int], int, int], N
 # failed or targeted call can never poison a later one.
 Bounds = "tuple[int, int, int, int] | None"
 
-#: ``mode="auto"`` picks the frontier engine only when the graph is big
-#: enough for batching to amortise the numpy call overhead; below this
-#: many edges the scalar loop wins outright.
-_FRONTIER_AUTO_MIN_EDGES = 64
-
 
 class EPivoter:
     """Reusable EPivoter engine bound to one degree-ordered graph.
@@ -127,16 +116,10 @@ class EPivoter:
         ``d_{G'}(u) * d_{G'}(v)``, a cheap surrogate for the paper's exact
         ``|N(e, G')|``; ``"exact"`` computes the paper's criterion.
         Correctness does not depend on the choice, only tree size.
-    mode:
-        Which traversal engine expands the tree.  ``"frontier"`` forces
-        the level-synchronous vectorised engine
-        (:mod:`repro.core.frontier`; requires numpy and the product
-        pivot), ``"scalar"`` forces the node-at-a-time loop, and
-        ``"auto"`` (default) picks the frontier engine for global counts
-        on graphs with at least ``64`` edges and the scalar engine
-        otherwise.  Both engines expand the identical tree and produce
-        bit-identical counts; local (per-vertex) counting always runs
-        the scalar set-level traversal, which needs vertex identities.
+
+    Global and single-pair counts run the frontier engine
+    (:mod:`repro.core.frontier`); local (per-vertex) counts run the
+    set-level walk, which carries vertex identities.
 
     All counting entry points accept ``workers``: ``None``/``1`` run
     serially in-process, ``N > 1`` fan the root edges out over ``N``
@@ -144,24 +127,10 @@ class EPivoter:
     serial ones cell-for-cell.
     """
 
-    def __init__(
-        self, graph: BipartiteGraph, pivot: str = "product", mode: str = "auto"
-    ):
+    def __init__(self, graph: BipartiteGraph, pivot: str = "product"):
         if pivot not in ("product", "exact"):
             raise ValueError("pivot must be 'product' or 'exact'")
-        if mode not in ("auto", "frontier", "scalar"):
-            raise ValueError("mode must be 'auto', 'frontier', or 'scalar'")
-        if mode == "frontier":
-            if pivot != "product":
-                raise ValueError(
-                    "frontier mode implements the 'product' pivot rule only"
-                )
-            from repro.core.frontier import NUMPY_AVAILABLE
-
-            if not NUMPY_AVAILABLE:  # pragma: no cover - broken installs
-                raise RuntimeError("frontier mode requires numpy")
         self.pivot = pivot
-        self.mode = mode
         if graph.is_degree_ordered():
             self.graph = graph
         else:
@@ -170,8 +139,9 @@ class EPivoter:
         self._adj_right_cache: "list[set[int]] | None" = None
         self._frontier_graph = None
 
-    # Adjacency sets are the scalar engine's working representation;
-    # built lazily so frontier-only engines skip the O(n + m) set build.
+    # Adjacency sets are the set-level walk's working representation;
+    # built lazily so engines that only count globally skip the
+    # O(n + m) set build.
     @property
     def _adj_left(self) -> "list[set[int]]":
         if self._adj_left_cache is None:
@@ -189,16 +159,6 @@ class EPivoter:
                 set(g.neighbors_right(v)) for v in range(g.n_right)
             ]
         return self._adj_right_cache
-
-    def _use_frontier(self) -> bool:
-        """Whether size-level traversals run the frontier engine."""
-        if self.mode == "scalar" or self.pivot != "product":
-            return False
-        if self.mode == "frontier":
-            return True
-        from repro.core.frontier import NUMPY_AVAILABLE
-
-        return NUMPY_AVAILABLE and self.graph.num_edges >= _FRONTIER_AUTO_MIN_EDGES
 
     # ------------------------------------------------------------------
     # Public entry points
@@ -254,7 +214,7 @@ class EPivoter:
                     obs.gauge_max("parallel.workers", n_workers)
                     obs.gauge_max("parallel.chunks", len(chunks))
                 payloads = [
-                    (self.pivot, self.mode, max_p, max_q, chunk, track)
+                    (self.pivot, max_p, max_q, chunk, track)
                     for chunk in chunks
                 ]
                 parts = run_chunked(
@@ -328,7 +288,7 @@ class EPivoter:
                     sp.set("core_edges", core.num_edges)
                 if core.num_edges == 0:
                     return 0
-                engine = EPivoter(core, pivot=self.pivot, mode=self.mode)
+                engine = EPivoter(core, pivot=self.pivot)
 
         n_workers = resolve_workers(workers)
         if pool is not None:
@@ -340,7 +300,7 @@ class EPivoter:
                     obs.gauge_max("parallel.workers", n_workers)
                     obs.gauge_max("parallel.chunks", len(chunks))
                 payloads = [
-                    (engine.pivot, engine.mode, p, q, chunk, track,
+                    (engine.pivot, p, q, chunk, track,
                      node_budget, time_budget)
                     for chunk in chunks
                 ]
@@ -411,7 +371,7 @@ class EPivoter:
                     obs.gauge_max("parallel.workers", n_workers)
                     obs.gauge_max("parallel.chunks", len(chunks))
                 payloads = [
-                    (self.pivot, self.mode, p, q, chunk, track,
+                    (self.pivot, p, q, chunk, track,
                      node_budget, time_budget)
                     for chunk in chunks
                 ]
@@ -499,7 +459,7 @@ class EPivoter:
                     obs.gauge_max("parallel.workers", n_workers)
                     obs.gauge_max("parallel.chunks", len(chunks))
                 payloads = [
-                    (self.pivot, self.mode, tuple(pairs), chunk, track,
+                    (self.pivot, tuple(pairs), chunk, track,
                      node_budget, time_budget)
                     for chunk in chunks
                 ]
@@ -550,244 +510,33 @@ class EPivoter:
         deadline: "float | None" = None,
         trace=None,
     ) -> None:
-        """Dispatch one traversal to the frontier or scalar engine.
+        """Run the frontier traversal over ``roots`` (default: every edge).
 
-        Both engines expand the *same* enumeration tree and call
-        ``visit`` with the same leaf descriptions (frontier batches and
-        deduplicates them, but the multiset of contributions is
-        identical), so counts are bit-identical either way.  ``trace``
-        is only consumed by the frontier engine (``frontier_expand``
-        spans); the scalar walk has no per-level structure to time.
+        ``visit`` receives leaves as described in
+        :func:`repro.core.frontier.run_frontier`; ``left_region``
+        filters the roots by their left endpoint.
         """
-        if self._use_frontier():
-            from repro.core import frontier
-
-            g = self.graph
-            if roots is None:
-                roots = g.edges()
-            root_list = [
-                (u, v)
-                for u, v in roots
-                if left_region is None or u in left_region
-            ]
-            if self._frontier_graph is None:
-                self._frontier_graph = frontier.FrontierGraph(g)
-            frontier.run_frontier(
-                self._frontier_graph,
-                root_list,
-                visit,
-                bounds=bounds,
-                obs=obs,
-                heartbeat=heartbeat,
-                node_budget=node_budget,
-                deadline=deadline,
-                trace=trace,
-            )
-            return
-        self._run_scalar(
+        if roots is None:
+            roots = self.graph.edges()
+        root_list = [
+            (u, v)
+            for u, v in roots
+            if left_region is None or u in left_region
+        ]
+        if self._frontier_graph is None:
+            self._frontier_graph = frontier.FrontierGraph(self.graph)
+        frontier.run_frontier(
+            self._frontier_graph,
+            root_list,
             visit,
-            left_region=left_region,
             bounds=bounds,
-            roots=roots,
             obs=obs,
             heartbeat=heartbeat,
             node_budget=node_budget,
             deadline=deadline,
+            trace=trace,
+            pivot=self.pivot,
         )
-
-    def _run_scalar(
-        self,
-        visit: "Callable[[int, int, int, int, int], None]",
-        left_region: "set[int] | None" = None,
-        bounds: Bounds = None,
-        roots: "list[tuple[int, int]] | None" = None,
-        obs: "MetricsRegistry | None" = None,
-        heartbeat: "Heartbeat | None" = None,
-        node_budget: "int | None" = None,
-        deadline: "float | None" = None,
-    ) -> None:
-        """Run the traversal over ``roots``; ``visit`` receives leaves.
-
-        ``visit(free_l, fixed_l, free_r, fixed_r, multiplier)`` adds
-        ``multiplier * C(free_l, p - fixed_l) * C(free_r, q - fixed_r)``
-        to every (p, q) cell, where ``free_*``/``fixed_*`` are set sizes.
-
-        ``roots`` defaults to every edge of the graph; the parallel layer
-        passes per-chunk subsets.  The walk is an explicit-stack DFS — no
-        Python recursion, so depth is bounded only by memory.  Leaf order
-        differs from the recursive formulation, which is immaterial:
-        every visitor accumulates by commutative (exact-integer) addition.
-
-        With ``obs`` enabled the traversal accumulates its counters in
-        locals and flushes them once at the end, so instrumentation adds
-        one branch per node when on and nothing but the default-argument
-        check when off.  ``heartbeat.tick()`` fires per expanded node.
-
-        ``node_budget`` / ``deadline`` (an absolute ``time.monotonic()``
-        timestamp) abandon the walk with :class:`CountBudgetExceeded`.
-        The deadline is polled every ``_DEADLINE_CHECK_MASK + 1`` nodes
-        so an armed budget costs one integer compare per node, not a
-        clock read.
-        """
-        g = self.graph
-        adj_left = self._adj_left
-        adj_right = self._adj_right
-        if bounds is None:
-            max_p = max_q = None
-            min_p = min_q = 1
-        else:
-            max_p, max_q, min_p, min_q = bounds
-        if roots is None:
-            roots = g.edges()
-        track = obs is not None and obs.enabled
-        budgeted = node_budget is not None or deadline is not None
-        budget_nodes = 0
-        n_roots = nodes = leaves = 0
-        pivot_branches = edge_branches = 0
-        prune_size = prune_reach_l = prune_reach_r = 0
-        max_depth = 0
-        stack: list[tuple[list[int], list[int], int, int, int, int]] = []
-        push = stack.append
-        if deadline is not None and time.monotonic() >= deadline:
-            raise CountBudgetExceeded(
-                "deadline expired before the traversal started"
-            )
-        for root_u, root_v in roots:
-            if left_region is not None and root_u not in left_region:
-                continue
-            n_roots += 1
-            push(
-                (
-                    list(g.higher_neighbors_of_right(root_v, root_u)),
-                    list(g.higher_neighbors_of_left(root_u, root_v)),
-                    0, 1, 0, 1,
-                )
-            )
-            while stack:
-                if track:
-                    nodes += 1
-                    if len(stack) > max_depth:
-                        max_depth = len(stack)
-                if budgeted:
-                    budget_nodes += 1
-                    if node_budget is not None and budget_nodes > node_budget:
-                        raise CountBudgetExceeded(
-                            f"node budget of {node_budget} exhausted"
-                        )
-                    if (
-                        deadline is not None
-                        and (budget_nodes & _DEADLINE_CHECK_MASK) == 0
-                        and time.monotonic() >= deadline
-                    ):
-                        raise CountBudgetExceeded(
-                            f"deadline hit after {budget_nodes} nodes"
-                        )
-                if heartbeat is not None:
-                    heartbeat.tick()
-                cand_l, cand_r, p_l, h_l, p_r, h_r = stack.pop()  # scalar-pop-ok: correctness twin
-                if max_p is not None:
-                    if h_l > max_p or h_r > max_q:
-                        prune_size += 1
-                        continue
-                    if p_l + h_l + len(cand_l) < min_p:
-                        prune_reach_l += 1
-                        continue
-                    if p_r + h_r + len(cand_r) < min_q:
-                        prune_reach_r += 1
-                        continue
-                cand_r_set = set(cand_r)
-                # Edges of the candidate-induced subgraph G', plus
-                # per-vertex degrees within G'.
-                edges: list[tuple[int, int]] = []
-                deg_l: dict[int, int] = {}
-                deg_r: dict[int, int] = {}
-                for x in cand_l:
-                    # Sorted so edge order (and hence pivot tie-breaks
-                    # and stack order) is deterministic and matches the
-                    # frontier engine's (x-position, y-value) order.
-                    hits = sorted(adj_left[x] & cand_r_set)
-                    if hits:
-                        deg_l[x] = len(hits)
-                        for y in hits:
-                            deg_r[y] = deg_r.get(y, 0) + 1
-                            edges.append((x, y))
-                if not edges:
-                    leaves += 1
-                    n_l, n_r = len(cand_l), len(cand_r)
-                    if n_l and n_r:
-                        # Bicliques with no right candidate: left
-                        # candidates free.
-                        visit(p_l + n_l, h_l, p_r, h_r, 1)
-                        # Bicliques with i >= 1 right candidates exclude
-                        # all left candidates (no edges across),
-                        # contributing C(n_r, i).
-                        for i in range(1, n_r + 1):
-                            visit(p_l, h_l, p_r, h_r + i, binomial(n_r, i))
-                    else:
-                        visit(p_l + n_l, h_l, p_r + n_r, h_r, 1)
-                    continue
-
-                pivot_u, pivot_v = self._choose_pivot(
-                    edges, deg_l, deg_r, cand_l, cand_r
-                )
-                nbr_v = adj_right[pivot_v]
-                nbr_u = adj_left[pivot_u]
-
-                # Local reordering: non-neighbors of the pivot first on
-                # each side.
-                new_l = [x for x in cand_l if x not in nbr_v] + [x for x in cand_l if x in nbr_v]
-                new_r = [y for y in cand_r if y not in nbr_u] + [y for y in cand_r if y in nbr_u]
-                pos_l = {x: i for i, x in enumerate(new_l)}
-                pos_r = {y: i for i, y in enumerate(new_r)}
-
-                # Case 6: branch on every candidate edge not fully inside
-                # the pivot's neighborhood.
-                for x, y in edges:
-                    if x in nbr_v and y in nbr_u:
-                        continue
-                    adj_y = adj_right[y]
-                    adj_x = adj_left[x]
-                    px, py = pos_l[x], pos_r[y]
-                    # Filter the *sorted* parent lists (same subset as
-                    # filtering new_l/new_r — pos carries the local
-                    # order), so candidate lists stay sorted at every
-                    # node and the exact pivot can use the CSR kernel.
-                    sub_l = [c for c in cand_l if pos_l[c] > px and c in adj_y]
-                    sub_r = [c for c in cand_r if pos_r[c] > py and c in adj_x]
-                    edge_branches += 1
-                    push((sub_l, sub_r, p_l, h_l + 1, p_r, h_r + 1))
-
-                # Cases 1-4: the pivot branch; pivot endpoints become free.
-                sub_l = [c for c in cand_l if c in nbr_v and c != pivot_u]
-                sub_r = [c for c in cand_r if c in nbr_u and c != pivot_v]
-                pivot_branches += 1
-                push((sub_l, sub_r, p_l + 1, h_l, p_r + 1, h_r))
-
-                # Case 5: bicliques using candidates of one side only,
-                # with at least one non-neighbor of the pivot (held);
-                # processed in local order with progressive removal to
-                # keep representation unique.
-                remaining = len(cand_l)
-                for w in (x for x in new_l if x not in nbr_v):
-                    remaining -= 1
-                    visit(p_l + remaining, h_l + 1, p_r, h_r, 1)
-                remaining = len(cand_r)
-                for w in (y for y in new_r if y not in nbr_u):
-                    remaining -= 1
-                    visit(p_l, h_l, p_r + remaining, h_r + 1, 1)
-        if track:
-            _flush_traversal_stats(
-                obs,
-                n_roots,
-                nodes,
-                leaves,
-                pivot_branches,
-                edge_branches,
-                prune_size,
-                prune_reach_l,
-                prune_reach_r,
-                max_depth,
-            )
 
     def _choose_pivot(
         self,
@@ -828,7 +577,13 @@ class EPivoter:
         node_budget: "int | None" = None,
         deadline: "float | None" = None,
     ) -> None:
-        """Like :meth:`_run` but leaves receive vertex lists.
+        """The set-level walk: like :meth:`_run` but leaves receive
+        vertex lists.
+
+        An explicit-stack DFS over the same tree, one node per
+        iteration.  ``node_budget`` / ``deadline`` abandon it with
+        :class:`CountBudgetExceeded`; the deadline is polled every
+        ``_DEADLINE_CHECK_MASK + 1`` nodes.
 
         ``on_leaf(free_l, fixed_l, free_r, fixed_r, extra_pool, extra_min)``
         describes the bicliques ``(X ∪ fixed_l, Y ∪ fixed_r ∪ S)`` with
@@ -937,8 +692,10 @@ class EPivoter:
                     adj_y = adj_right[y]
                     adj_x = adj_left[x]
                     px, py = pos_l[x], pos_r[y]
-                    # Sorted parent lists, same subset as new_l/new_r
-                    # (see _run): keeps candidates sorted for the kernel.
+                    # Filter the *sorted* parent lists (same subset as
+                    # filtering new_l/new_r — pos carries the local
+                    # order), so candidate lists stay sorted at every
+                    # node and the exact pivot can use the CSR kernel.
                     sub_l = [c for c in cand_l if pos_l[c] > px and c in adj_y]
                     sub_r = [c for c in cand_r if pos_r[c] > py and c in adj_x]
                     edge_branches += 1
@@ -1023,7 +780,7 @@ def _worker_stats(obs: MetricsRegistry, roots: int, wall_time: float) -> dict:
     }
 
 
-def _chunk_engine(pivot: str, mode: str = "auto") -> EPivoter:
+def _chunk_engine(pivot: str) -> EPivoter:
     """This worker's engine over the pool's shared graph, built once.
 
     The pool ships the graph a single time (see
@@ -1033,11 +790,11 @@ def _chunk_engine(pivot: str, mode: str = "auto") -> EPivoter:
     degree-ordered, so construction never relabels.
     """
     cache = worker_cache()
-    key = ("epivoter", pivot, mode)
+    key = ("epivoter", pivot)
     engine = cache.get(key)
     if engine is None:
         start = time.perf_counter()
-        engine = EPivoter(worker_graph(), pivot=pivot, mode=mode)
+        engine = EPivoter(worker_graph(), pivot=pivot)
         add_worker_warmup(time.perf_counter() - start)
         cache[key] = engine
     return engine
@@ -1212,8 +969,8 @@ def _pairs_bounds(pairs: "list[tuple[int, int]]") -> "tuple[int, int, int, int]"
 
 def _count_all_chunk(payload) -> "tuple[BicliqueCounts, dict | None]":
     """Worker: all-pairs counts over one chunk of root edges."""
-    pivot, mode, max_p, max_q, roots, collect = payload
-    engine = _chunk_engine(pivot, mode)
+    pivot, max_p, max_q, roots, collect = payload
+    engine = _chunk_engine(pivot)
     counts = BicliqueCounts(max_p, max_q)
     obs = MetricsRegistry() if collect else None
     start = time.perf_counter()
@@ -1234,14 +991,12 @@ def _count_all_chunk(payload) -> "tuple[BicliqueCounts, dict | None]":
 def _count_single_chunk(payload) -> "tuple[int, dict | None]":
     """Worker: a single (p, q) count over one chunk of root edges.
 
-    The optional trailing budget fields arm per-chunk limits; a budget
-    trip raises :class:`CountBudgetExceeded`, which the executor
+    The budget fields arm per-chunk limits (``None`` disarms them); a
+    budget trip raises :class:`CountBudgetExceeded`, which the executor
     re-raises in the coordinator.
     """
-    pivot, mode, p, q, roots, collect = payload[:6]
-    node_budget = payload[6] if len(payload) > 6 else None
-    time_budget = payload[7] if len(payload) > 7 else None
-    engine = _chunk_engine(pivot, mode)
+    pivot, p, q, roots, collect, node_budget, time_budget = payload
+    engine = _chunk_engine(pivot)
     visit, box = _single_cell_visitor(p, q)
     obs = MetricsRegistry() if collect else None
     start = time.perf_counter()
@@ -1261,13 +1016,11 @@ def _count_single_chunk(payload) -> "tuple[int, dict | None]":
 def _count_local_chunk(payload):
     """Worker: per-vertex counts for many pairs over one root chunk.
 
-    Optional trailing budget fields arm per-chunk limits, mirroring
+    The budget fields arm per-chunk limits, mirroring
     :func:`_count_single_chunk`.
     """
-    pivot, mode, pairs, roots, collect = payload[:5]
-    node_budget = payload[5] if len(payload) > 5 else None
-    time_budget = payload[6] if len(payload) > 6 else None
-    engine = _chunk_engine(pivot, mode)
+    pivot, pairs, roots, collect, node_budget, time_budget = payload
+    engine = _chunk_engine(pivot)
     g = engine.graph
     result = {
         pair: ([0] * g.n_left, [0] * g.n_right) for pair in pairs
@@ -1303,10 +1056,9 @@ def count_all(
     pivot: str = "product",
     workers: "int | None" = None,
     obs: "MetricsRegistry | None" = None,
-    mode: str = "auto",
 ) -> BicliqueCounts:
     """Count all (p, q)-bicliques of ``graph`` (convenience wrapper)."""
-    return EPivoter(graph, pivot=pivot, mode=mode).count_all(
+    return EPivoter(graph, pivot=pivot).count_all(
         max_p, max_q, workers=workers, obs=obs
     )
 
@@ -1319,10 +1071,9 @@ def count_single(
     use_core: bool = True,
     workers: "int | None" = None,
     obs: "MetricsRegistry | None" = None,
-    mode: str = "auto",
 ) -> int:
     """Count the (p, q)-bicliques of ``graph`` for one pair."""
-    return EPivoter(graph, pivot=pivot, mode=mode).count_single(
+    return EPivoter(graph, pivot=pivot).count_single(
         p, q, use_core=use_core, workers=workers, obs=obs
     )
 
@@ -1334,11 +1085,10 @@ def count_local(
     pivot: str = "product",
     workers: "int | None" = None,
     obs: "MetricsRegistry | None" = None,
-    mode: str = "auto",
 ) -> tuple[list[int], list[int]]:
     """Per-vertex (p, q)-biclique counts in the *original* labelling."""
     ordered, left_map, right_map = graph.degree_ordered()
-    engine = EPivoter(ordered, pivot=pivot, mode=mode)
+    engine = EPivoter(ordered, pivot=pivot)
     left_ordered, right_ordered = engine.count_local(p, q, workers=workers, obs=obs)
     left_counts = [0] * graph.n_left
     right_counts = [0] * graph.n_right

@@ -1,42 +1,47 @@
 """Level-synchronous (frontier-batched) EPivoter traversal.
 
-The scalar engine in :mod:`repro.core.epivoter` pops one enumeration-
-tree node per loop iteration, so CPython interpreter overhead dominates
-its runtime.  This module restructures the same traversal GPU-style
-(after the level-synchronous formulation of "Accelerating Biclique
-Counting on GPU"): a whole *frontier* of tree nodes is materialised per
-step, their candidate sets live in one contiguous int64 arena per side
-(``offsets`` + implicit lengths), and every per-node operation — size
-pruning, the candidate-subgraph edge construction, pivot selection,
-child construction — becomes a vectorised reduction across the batch.
-The candidate-subgraph edges for the *entire* frontier come from a
-single :func:`repro.graph.intersect.intersect_arena_many` call per
-level.
+This is the only size-level walk of the edge-pivot enumeration tree
+(Algorithm 2).  Popping one tree node per loop iteration would let
+CPython interpreter overhead dominate, so the walk is structured
+GPU-style (after the level-synchronous formulation of "Accelerating
+Biclique Counting on GPU"): a whole *frontier* of tree nodes is
+materialised per step, their candidate sets live in one contiguous
+int64 arena per side (``offsets`` + implicit lengths), and every
+per-node operation — size pruning, the candidate-subgraph edge
+construction, pivot selection, child construction — becomes a
+vectorised reduction across the batch.  The candidate-subgraph edges
+for the *entire* frontier come from a single
+:func:`repro.graph.intersect.intersect_arena_many` call per level.
 
 Bit-identity contract
 ---------------------
-The frontier engine expands the *same* enumeration tree as the scalar
-engine, node for node:
+The tree is fixed by the graph, the pivot rule and the bounds; batch
+geometry never changes it:
 
-* children are constructed from the same six-case analysis, with
-  candidate lists in the same sorted order;
+* children are constructed from the six-case analysis of Theorem 3.4,
+  with every candidate list kept sorted;
 * the pivot is the first edge (in ``(x, y)`` candidate-local order)
-  maximising ``(d(x) - 1) * (d(y) - 1)``, matching the scalar
-  ``max(edges, key=...)`` tie-break over its sorted edge stream;
-* prune tests run in the scalar order (size bound, left reach, right
-  reach), so every prune counter matches.
+  maximising the pivot score — ``(d(x) - 1) * (d(y) - 1)`` for
+  ``"product"``, the butterflies through the edge in ``G'`` for
+  ``"exact"``;
+* prune tests run in a fixed order (size bound, left reach, right
+  reach).
+
+``tests/test_epivoter_frontier.py`` pins the resulting tree-shape
+counters (nodes, leaves, branch and prune tallies) to literal values
+for both pivot rules, and checks every count against the brute-force
+oracle and the golden tables.
 
 Counts stay exact: leaf and case-5 contributions are *recorded* as
-small integer tuples, deduplicated with ``np.unique`` per batch, and
-only evaluated at the end with Python-integer binomials — numpy never
-computes a count, so there is no int64 overflow and ``BicliqueCounts``
-cells are bit-identical to the scalar engine's.
+small integer tuples, deduplicated with ``np.unique``, and only
+evaluated at the end with Python-integer binomials — numpy never
+computes a count, so there is no int64 overflow.
 
-Budget semantics match the scalar engine exactly: both raise
-:class:`~repro.core.epivoter.CountBudgetExceeded` if and only if the
-tree has more than ``node_budget`` nodes (every node enters exactly one
-batch, and the running node total is checked before each batch
-expands); deadlines are polled per batch plus once before the walk.
+Budgets: :class:`~repro.core.epivoter.CountBudgetExceeded` is raised
+if and only if the tree has more than ``node_budget`` nodes (every
+node enters exactly one batch, and the running node total is checked
+before each batch expands); deadlines are polled per batch plus once
+before the walk.
 """
 
 from __future__ import annotations
@@ -44,10 +49,7 @@ from __future__ import annotations
 import time
 from typing import TYPE_CHECKING
 
-try:  # numpy is a hard dependency, but the scalar engine must not need it
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only on broken installs
-    np = None
+import numpy as np
 
 from repro.graph.intersect import (
     as_int64,
@@ -64,17 +66,19 @@ if TYPE_CHECKING:
     from repro.obs.trace import Trace
 
 __all__ = [
-    "NUMPY_AVAILABLE",
     "DEFAULT_BATCH_CAP",
     "FrontierGraph",
     "run_frontier",
 ]
 
-NUMPY_AVAILABLE = np is not None
-
 #: Child batches are split so no single expansion exceeds this many
 #: nodes — bounds the arena working set regardless of tree width.
 DEFAULT_BATCH_CAP = 8192
+
+#: The exact pivot score processes at most about this many wedges per
+#: sort (whole candidate rows at a time), bounding its pair arrays on
+#: dense batches.
+_WEDGE_CAP = 1 << 19
 
 #: Batches smaller than this are merged with pending ones before
 #: expanding, so deep skinny subtrees do not degenerate into per-node
@@ -259,7 +263,7 @@ class _RecordSink:
     * ``S``  ``(free_l, fixed_l, free_r, fixed_r)`` — a one-sided or
       empty leaf: one visit.
     * ``R``  ``(pl, hl, pr, hr, n_l, n_r)`` — a leaf with candidates on
-      both sides (no edges across): the scalar leaf expansion.
+      both sides (no edges across): expanded over the right candidates.
     * ``CL`` ``(pl, hl, pr, hr, n_l, t_l)`` — a case-5 left loop over
       ``t_l`` pivot non-neighbors out of ``n_l`` left candidates.
     * ``CR`` — mirrored on the right.
@@ -352,13 +356,13 @@ class _RecordSink:
 
 
 def _segment_ranks(flags, node_of, offsets, n_nodes):
-    """Scalar local-reordering positions, vectorised per segment.
+    """Local-reordering positions, vectorised per segment.
 
     ``flags[i]`` says whether flat candidate ``i`` is adjacent to its
-    node's pivot.  The scalar engine reorders each candidate list as
-    non-neighbors first, neighbors after (both preserving sorted order);
-    the returned ``ranks`` are each candidate's index in that reordered
-    list, and ``t`` the per-node non-neighbor count.
+    node's pivot.  Each candidate list is reordered as non-neighbors
+    first, neighbors after (both preserving sorted order); the returned
+    ``ranks`` are each candidate's index in that reordered list, and
+    ``t`` the per-node non-neighbor count.
     """
     total = flags.size
     flag_int = flags.astype(np.int64)
@@ -385,6 +389,44 @@ def _keyed_member(keyed, stride, row_of, values):
     return inb & (keyed[np.where(inb, pos, 0)] == keys)
 
 
+def _butterfly_scores(e_flat, rpos, deg_r, col_order, col_start, row_start):
+    """``|N(e, G')|`` for every candidate-subgraph edge ``e = (x, y)``.
+
+    The paper's exact pivot criterion: the butterflies through ``e``,
+    ``sum over x' in col(y), x' != x, of |row(x') ∩ row(x)| - 1``.
+    Each term belongs to one wedge ``x - y - x'``, and the common
+    neighbors of ``(x, x')`` are exactly the wedges sharing that pair,
+    so one ``np.unique`` over the wedge pair keys yields every term.
+    All wedges of a pair start on row ``x``, so wedges are processed a
+    block of whole rows at a time, about ``_WEDGE_CAP`` per block.
+    """
+    n_edges = e_flat.size
+    span = deg_r[rpos]  # column members of each edge's y, x included
+    cum = exclusive_cumsum(span)
+    cuts = np.searchsorted(
+        cum[row_start],
+        np.arange(_WEDGE_CAP, int(cum[-1]), _WEDGE_CAP),
+    )
+    blocks = np.unique(
+        np.concatenate([[0], row_start[cuts], [n_edges]])
+    ).tolist()
+    score = np.empty(n_edges, dtype=np.int64)
+    stride = int(row_start.size)  # exceeds every flat row position
+    for lo, hi in zip(blocks, blocks[1:]):
+        spans = span[lo:hi]
+        members, _ = gather_slices(col_order, col_start[rpos[lo:hi]], spans)
+        owner = np.repeat(np.arange(lo, hi, dtype=np.int64), spans)
+        other = members != owner
+        keys = e_flat[owner[other]] * stride + e_flat[members[other]]
+        _, inverse, pair_common = np.unique(
+            keys, return_inverse=True, return_counts=True
+        )
+        running = exclusive_cumsum(pair_common[inverse] - 1)
+        ends = exclusive_cumsum(spans - 1)  # each owner's wedges
+        score[lo:hi] = running[ends[1:]] - running[ends[:-1]]
+    return score
+
+
 def _root_batch(fg: FrontierGraph, roots) -> _Batch:
     """The level-1 batch: one node per root edge, candidate sets
     ``N^{>u}(v)`` / ``N^{>v}(u)`` sliced from the CSR in one gather."""
@@ -406,7 +448,7 @@ def _root_batch(fg: FrontierGraph, roots) -> _Batch:
 
 
 def _expand(fg: FrontierGraph, batch: _Batch, bounds, sink: _RecordSink,
-            tally: _Tally) -> "list[_Batch]":
+            tally: _Tally, pivot: str) -> "list[_Batch]":
     """Expand one batch: prune, intersect, pick pivots, build children.
 
     Returns the child batches (at most one, possibly empty list); leaf
@@ -419,7 +461,7 @@ def _expand(fg: FrontierGraph, batch: _Batch, bounds, sink: _RecordSink,
     nr_all = np.diff(batch.aroff)
     tally.max_depth = max(tally.max_depth, int(level.max()))
 
-    # --- prune, in the scalar order: size bound, left reach, right reach
+    # --- prune, in a fixed order: size bound, left reach, right reach
     if bounds is None:
         keep = np.arange(n, dtype=np.int64)
     else:
@@ -492,10 +534,21 @@ def _expand(fg: FrontierGraph, batch: _Batch, bounds, sink: _RecordSink,
     if live.size == 0:
         return []
 
-    # --- pivot per live node: first edge maximising (d(x)-1)*(d(y)-1)
-    #     in (x, y) candidate-local order — the scalar max() tie-break.
+    # Edges grouped by column (then x-order) and by row: the column of
+    # (node, y) is "left candidates adjacent to y within the node".
+    col_order = np.lexsort((e_flat, rpos))
+    col_start = exclusive_cumsum(deg_r)
+    row_start = exclusive_cumsum(sizes)
+
+    # --- pivot per live node: the first edge, in (x, y) candidate-local
+    #     order, maximising the pivot score.
     estart = exclusive_cumsum(edges_per_node)
-    score = (sizes[e_flat] - 1) * (deg_r[rpos] - 1)
+    if pivot == "exact":
+        score = _butterfly_scores(
+            e_flat, rpos, deg_r, col_order, col_start, row_start
+        )
+    else:
+        score = (sizes[e_flat] - 1) * (deg_r[rpos] - 1)
     seg_max = np.maximum.reduceat(score, estart[live])
     is_max = score == np.repeat(seg_max, edges_per_node[live])
     max_edges = np.nonzero(is_max)[0]
@@ -515,7 +568,7 @@ def _expand(fg: FrontierGraph, batch: _Batch, bounds, sink: _RecordSink,
     live_flag = np.zeros(k, dtype=bool)
     live_flag[live] = True
 
-    # --- scalar local reordering (pivot non-neighbors first), as ranks
+    # --- local reordering (pivot non-neighbors first), as ranks
     rank_l, t_l = _segment_ranks(x_adj, lnode, aloff, k)
     rank_r, t_r = _segment_ranks(y_adj, rnode, aroff, k)
 
@@ -549,10 +602,7 @@ def _expand(fg: FrontierGraph, batch: _Batch, bounds, sink: _RecordSink,
     tally.pivot_branches += int(live.size)
 
     # sub_l of edge (node, x, y): left candidates adjacent to y ranked
-    # after x.  "Adjacent to y within the node" is exactly the edge
-    # column of (node, y), so group the edges by column once and filter.
-    col_order = np.lexsort((e_flat, rpos))  # by (column, x-order)
-    col_start = exclusive_cumsum(deg_r)
+    # after x, filtered from the edge column of (node, y).
     col_len = deg_r[rpos[unc]]
     members, _ = gather_slices(col_order, col_start[rpos[unc]], col_len)
     parent = np.repeat(np.arange(n_edge_children, dtype=np.int64), col_len)
@@ -561,7 +611,6 @@ def _expand(fg: FrontierGraph, batch: _Batch, bounds, sink: _RecordSink,
     sub_l_vals = al[e_flat[members[keep_l]]]
 
     # sub_r mirrored: the edge row of (node, x) is already contiguous.
-    row_start = exclusive_cumsum(sizes)
     row_len = sizes[e_flat[unc]]
     members, _ = gather_slices(
         np.arange(n_edges, dtype=np.int64), row_start[e_flat[unc]], row_len
@@ -611,9 +660,18 @@ def run_frontier(
     deadline: "float | None" = None,
     trace: "Trace | None" = None,
     batch_cap: int = DEFAULT_BATCH_CAP,
+    pivot: str = "product",
 ) -> None:
-    """Run the frontier traversal over ``roots``; drop-in for
-    ``EPivoter._run_scalar`` (same visitor, bounds, budget semantics).
+    """Run the traversal over ``roots``; ``visit`` receives leaves.
+
+    ``visit(free_l, fixed_l, free_r, fixed_r, multiplier)`` adds
+    ``multiplier * C(free_l, p - fixed_l) * C(free_r, q - fixed_r)``
+    to every (p, q) cell, where ``free_*``/``fixed_*`` are set sizes.
+    ``bounds`` is ``(max_p, max_q, min_p, min_q)`` or ``None`` (no size
+    pruning); ``pivot`` is ``"product"`` or ``"exact"`` (see
+    :class:`~repro.core.epivoter.EPivoter`).  ``node_budget`` /
+    ``deadline`` (an absolute ``time.monotonic()`` timestamp) abandon
+    the walk with :class:`~repro.core.epivoter.CountBudgetExceeded`.
 
     ``heartbeat`` ticks once per node (``tick(width)`` per batch);
     ``trace`` receives ``frontier_expand`` spans for the first
@@ -658,15 +716,15 @@ def run_frontier(
             max_arena = arena
         if traced and batches <= _TRACE_SPAN_CAP:
             with trace.span("frontier_expand", batch=batches, width=width):
-                children = _expand(fg, batch, bounds, sink, tally)
+                children = _expand(fg, batch, bounds, sink, tally, pivot)
         elif traced:
             started = time.perf_counter()
-            children = _expand(fg, batch, bounds, sink, tally)
+            children = _expand(fg, batch, bounds, sink, tally, pivot)
             tail_seconds += time.perf_counter() - started
             tail_batches += 1
             tail_nodes += width
         else:
-            children = _expand(fg, batch, bounds, sink, tally)
+            children = _expand(fg, batch, bounds, sink, tally, pivot)
         for child in children:
             pending.extend(_split(child, batch_cap))
     if traced and tail_batches:

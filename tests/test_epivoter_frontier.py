@@ -1,11 +1,15 @@
-"""Frontier-vs-scalar equality: the bit-identity contract of PR 8.
+"""The frontier engine against the oracles, and its pinned tree shape.
 
-The frontier engine re-expands the *same* enumeration tree as the
-scalar walk, batched level-by-level, so everything observable must
-match bit-for-bit: the full count matrix, the traversal counters
-(nodes, leaves, branch and prune tallies), and the exact node at which
-a budget trips.  These tests sweep random models (ER + Chung–Lu), the
-golden datasets, and worker counts to pin all three down.
+The frontier engine is the only size-level walk of the EPivoter
+enumeration tree, for both pivot rules.  These tests check it three
+ways:
+
+* counts against the brute-force oracle (seeded ER + Chung–Lu sweeps,
+  serial and parallel) and against the golden tables;
+* the tree itself, through literal traversal counters (nodes, leaves,
+  branch and prune tallies) recorded from the node-at-a-time walk this
+  engine replaced, so any change to the tree shows up as a diff;
+* budgets, which trip exactly when the tree outgrows ``node_budget``.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import random
 
 import pytest
 
+from repro.baselines.brute import count_all_bicliques_brute
 from repro.core.epivoter import CountBudgetExceeded, EPivoter
 from repro.graph.datasets import load_dataset
 from repro.graph.generators import chung_lu_bipartite, erdos_renyi_bipartite
@@ -22,19 +27,82 @@ from repro.obs.registry import MetricsRegistry
 from .conftest import complete_bigraph, random_bigraph
 from .test_golden_counts import GOLDEN
 
-numpy = pytest.importorskip("numpy")
-
 # Fast-to-count golden datasets used for the parallel sweep; the full
 # serial sweep below covers all eight.
 PARALLEL_DATASETS = ["DBLP", "rating-movielens", "Github"]
 
+#: Traversal counters pinned below, in this order.
+COUNTERS = (
+    "nodes_expanded",
+    "leaves",
+    "pivot_branches",
+    "edge_branches",
+    "prune.size_bound",
+    "prune.reach_left",
+    "prune.reach_right",
+)
+
+#: ``PINNED[seed][pivot]`` — one entry per graph of ``_random_models(seed)``,
+#: each ``(count_all(4, 4) counters, count_single(3, 3) counters)`` in
+#: ``COUNTERS`` order (``count_single`` without the core reduction).
+PINNED = {
+    0: {
+        "product": [
+            ((0, 0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0, 0)),
+            ((100, 73, 27, 3, 0, 0, 0), (81, 3, 8, 3, 0, 39, 31)),
+            ((281, 189, 92, 29, 0, 0, 0), (235, 32, 46, 29, 0, 82, 75)),
+        ],
+        "exact": [
+            ((0, 0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0, 0)),
+            ((101, 74, 27, 4, 0, 0, 0), (82, 2, 8, 4, 0, 40, 32)),
+            ((302, 211, 91, 51, 0, 0, 0), (256, 20, 45, 51, 0, 96, 95)),
+        ],
+    },
+    1: {
+        "product": [
+            ((47, 27, 20, 0, 0, 0, 0), (37, 5, 10, 0, 0, 20, 2)),
+            ((125, 88, 37, 9, 0, 0, 0), (106, 1, 18, 9, 0, 55, 32)),
+            ((279, 187, 92, 27, 0, 0, 0), (230, 28, 43, 27, 0, 85, 74)),
+        ],
+        "exact": [
+            ((47, 27, 20, 0, 0, 0, 0), (37, 5, 10, 0, 0, 20, 2)),
+            ((125, 88, 37, 9, 0, 0, 0), (106, 1, 18, 9, 0, 55, 32)),
+            ((302, 210, 92, 50, 0, 0, 0), (253, 14, 43, 50, 0, 103, 93)),
+        ],
+    },
+    2: {
+        "product": [
+            ((0, 0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0, 0)),
+            ((140, 94, 46, 10, 0, 0, 0), (118, 6, 24, 10, 0, 55, 33)),
+            ((267, 173, 94, 13, 0, 0, 0), (214, 25, 41, 13, 0, 83, 65)),
+        ],
+        "exact": [
+            ((0, 0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0, 0)),
+            ((145, 99, 46, 15, 0, 0, 0), (123, 2, 24, 15, 0, 60, 37)),
+            ((290, 196, 94, 36, 0, 0, 0), (237, 14, 41, 36, 0, 98, 84)),
+        ],
+    },
+}
+
 
 def _random_models(seed: int):
-    """One ER and one Chung–Lu instance per seed."""
+    """One small random, one ER and one Chung–Lu instance per seed."""
     rng = random.Random(seed)
     yield random_bigraph(rng, max_left=10, max_right=10)
     yield erdos_renyi_bipartite(20, 16, 0.25, seed=seed)
     yield chung_lu_bipartite(40, 40, 160, seed=seed)
+
+
+def _counters(obs: MetricsRegistry) -> tuple:
+    return tuple(obs.counters.get(f"epivoter.{name}", 0) for name in COUNTERS)
+
+
+def _local_sum(engine: EPivoter, p: int, q: int) -> int:
+    """(p, q) count from the set-level walk: each biclique has p left
+    vertices, so the left per-vertex counts sum to p times the count."""
+    left, _ = engine.count_local(p, q)
+    assert sum(left) % p == 0
+    return sum(left) // p
 
 
 class TestRandomSweep:
@@ -43,31 +111,34 @@ class TestRandomSweep:
     @pytest.mark.parametrize("seed", range(5))
     def test_counts_bit_identical(self, seed):
         for g in _random_models(seed):
-            scalar = EPivoter(g, mode="scalar").count_all(4, 4)
-            frontier = EPivoter(g, mode="frontier").count_all(4, 4)
-            assert frontier == scalar
+            brute = count_all_bicliques_brute(g, 4, 4)
+            for pivot in ("product", "exact"):
+                assert EPivoter(g, pivot=pivot).count_all(4, 4) == brute, pivot
 
     @pytest.mark.parametrize("workers", [2, 4])
     def test_parallel_frontier_matches_serial_scalar(self, workers):
+        # The serial reference is the set-level walk (one node per
+        # iteration) and, independently, the brute-force oracle.
         g = erdos_renyi_bipartite(30, 24, 0.2, seed=workers)
-        scalar = EPivoter(g, mode="scalar").count_all(4, 4)
-        frontier = EPivoter(g, mode="frontier").count_all(
-            4, 4, workers=workers
-        )
-        assert frontier == scalar
+        engine = EPivoter(g)
+        frontier = engine.count_all(4, 4, workers=workers)
+        assert frontier == count_all_bicliques_brute(g, 4, 4)
+        for p, q in ((2, 2), (3, 2), (4, 4)):
+            assert frontier[p, q] == _local_sum(engine, p, q), (p, q)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_traversal_counters_bit_identical(self, seed):
-        # Same tree => same roots/nodes/leaves/branch/prune tallies.
-        # Only the batch-geometry counters (epivoter.frontier_*) may
-        # differ: the scalar engine never emits them.
-        for g in _random_models(seed):
-            obs_scalar = MetricsRegistry()
-            obs_frontier = MetricsRegistry()
-            EPivoter(g, mode="scalar").count_all(4, 4, obs=obs_scalar)
-            EPivoter(g, mode="frontier").count_all(4, 4, obs=obs_frontier)
-            for name, value in obs_scalar.counters.items():
-                assert obs_frontier.counters[name] == value, name
+        # Same tree => same nodes/leaves/branch/prune tallies, for both
+        # pivot rules, an unpruned and a pruned traversal.
+        for pivot, expected in PINNED[seed].items():
+            for g, (want_all, want_single) in zip(_random_models(seed), expected):
+                engine = EPivoter(g, pivot=pivot)
+                obs = MetricsRegistry()
+                engine.count_all(4, 4, obs=obs)
+                assert _counters(obs) == want_all, pivot
+                obs = MetricsRegistry()
+                engine.count_single(3, 3, use_core=False, obs=obs)
+                assert _counters(obs) == want_single, pivot
 
 
 class TestGoldenDatasets:
@@ -76,7 +147,7 @@ class TestGoldenDatasets:
     @pytest.mark.parametrize("name", sorted(GOLDEN))
     def test_frontier_matches_golden_table(self, name):
         graph = load_dataset(name)
-        counts = EPivoter(graph, mode="frontier").count_all(4, 4)
+        counts = EPivoter(graph).count_all(4, 4)
         for (p, q), expected in GOLDEN[name].items():
             assert counts[p, q] == expected, (name, p, q)
 
@@ -84,54 +155,47 @@ class TestGoldenDatasets:
     @pytest.mark.parametrize("workers", [2, 4])
     def test_parallel_frontier_matches_golden_table(self, name, workers):
         graph = load_dataset(name)
-        counts = EPivoter(graph, mode="frontier").count_all(
-            4, 4, workers=workers
-        )
+        counts = EPivoter(graph).count_all(4, 4, workers=workers)
         for (p, q), expected in GOLDEN[name].items():
             assert counts[p, q] == expected, (name, p, q)
 
 
 class TestBudgetEquivalence:
-    """Budgets must trip at the same tree size in both engines."""
-
-    def _tree_nodes(self, g, p, q):
-        obs = MetricsRegistry()
-        EPivoter(g, mode="scalar").count_single(
-            p, q, use_core=False, obs=obs
-        )
-        return obs.counters["epivoter.nodes_expanded"]
+    """Budgets trip exactly at the tree size, in both walks: the
+    frontier (size-level) and the scalar set-level walk."""
 
     def test_raise_boundary_is_identical(self):
+        # The (3, 3) tree of this graph has 87 nodes (product pivot),
+        # pinned from the node-at-a-time walk.
         g = erdos_renyi_bipartite(16, 14, 0.3, seed=17)
-        nodes = self._tree_nodes(g, 3, 3)
-        assert nodes > 2
-        for budget in (1, nodes - 1, nodes, nodes + 1):
-            outcomes = []
-            for mode in ("scalar", "frontier"):
-                try:
-                    EPivoter(g, mode=mode).count_single(
-                        3, 3, use_core=False, node_budget=budget
-                    )
-                    outcomes.append("ok")
-                except CountBudgetExceeded:
-                    outcomes.append("raise")
-            assert outcomes[0] == outcomes[1], budget
+        obs = MetricsRegistry()
+        EPivoter(g).count_single(3, 3, use_core=False, obs=obs)
+        nodes = obs.counters["epivoter.nodes_expanded"]
+        assert nodes == 87
+        for budget in (nodes, nodes + 1):
+            EPivoter(g).count_single(3, 3, use_core=False, node_budget=budget)
+        for budget in (1, nodes - 1):
+            with pytest.raises(CountBudgetExceeded):
+                EPivoter(g).count_single(
+                    3, 3, use_core=False, node_budget=budget
+                )
 
-    @pytest.mark.parametrize("mode", ["scalar", "frontier"])
-    def test_tiny_node_budget_trips(self, mode):
-        g = complete_bigraph(8, 8)
-        with pytest.raises(CountBudgetExceeded):
-            EPivoter(g, mode=mode).count_single(
-                2, 2, use_core=False, node_budget=3
-            )
+    @staticmethod
+    def _walk(walk: str, g, **budgets):
+        engine = EPivoter(g)
+        if walk == "frontier":
+            return engine.count_single(2, 2, use_core=False, **budgets)
+        return engine.count_local_many([(2, 2)], **budgets)
 
-    @pytest.mark.parametrize("mode", ["scalar", "frontier"])
-    def test_zero_time_budget_trips_before_traversal(self, mode):
-        g = complete_bigraph(8, 8)
+    @pytest.mark.parametrize("walk", ["scalar", "frontier"])
+    def test_tiny_node_budget_trips(self, walk):
         with pytest.raises(CountBudgetExceeded):
-            EPivoter(g, mode=mode).count_single(
-                2, 2, use_core=False, time_budget=0.0
-            )
+            self._walk(walk, complete_bigraph(8, 8), node_budget=3)
+
+    @pytest.mark.parametrize("walk", ["scalar", "frontier"])
+    def test_zero_time_budget_trips_before_traversal(self, walk):
+        with pytest.raises(CountBudgetExceeded):
+            self._walk(walk, complete_bigraph(8, 8), time_budget=0.0)
 
     def test_count_local_many_accepts_budgets(self):
         g = complete_bigraph(8, 8)
@@ -155,29 +219,14 @@ class TestBudgetEquivalence:
 
 
 class TestModeSelection:
-    def test_invalid_mode_rejected(self):
-        g = complete_bigraph(3, 3)
-        with pytest.raises(ValueError):
-            EPivoter(g, mode="warp")
-
-    def test_frontier_requires_product_pivot(self):
-        g = complete_bigraph(3, 3)
-        with pytest.raises(ValueError):
-            EPivoter(g, pivot="exact", mode="frontier")
-
-    def test_exact_pivot_auto_falls_back_to_scalar(self):
-        g = complete_bigraph(8, 8)
-        engine = EPivoter(g, pivot="exact")
-        assert not engine._use_frontier()
-
-    def test_auto_uses_frontier_above_threshold(self):
-        assert EPivoter(complete_bigraph(8, 8))._use_frontier()
-        assert not EPivoter(complete_bigraph(4, 4))._use_frontier()
+    """There is no engine switch: size-level counts run the frontier
+    for both pivot rules (small graphs: see ``test_properties``)."""
 
     def test_frontier_emits_batch_counters(self):
         g = complete_bigraph(8, 8)
-        obs = MetricsRegistry()
-        EPivoter(g, mode="frontier").count_all(3, 3, obs=obs)
-        assert obs.counters["epivoter.frontier_batches"] >= 1
-        assert obs.gauges["epivoter.frontier_max_width"] >= 1
-        assert obs.gauges["epivoter.arena_bytes"] >= 1
+        for pivot in ("product", "exact"):
+            obs = MetricsRegistry()
+            EPivoter(g, pivot=pivot).count_all(3, 3, obs=obs)
+            assert obs.counters["epivoter.frontier_batches"] >= 1, pivot
+            assert obs.gauges["epivoter.frontier_max_width"] >= 1, pivot
+            assert obs.gauges["epivoter.arena_bytes"] >= 1, pivot

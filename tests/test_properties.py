@@ -18,6 +18,7 @@ from repro.core.zigzag import star_counts
 from repro.core.counts import BicliqueCounts
 from repro.graph.bigraph import BipartiteGraph
 from repro.graph.core_decomposition import alpha_beta_core
+from repro.obs.registry import MetricsRegistry
 
 SETTINGS = settings(
     max_examples=40,
@@ -46,7 +47,9 @@ class TestEPivoterProperties:
     @SETTINGS
     @given(bigraphs(), st.integers(1, 4), st.integers(1, 4))
     def test_single_pair(self, g, p, q):
-        assert count_single(g, p, q) == count_bicliques_brute(g, p, q)
+        brute = count_bicliques_brute(g, p, q)
+        assert count_single(g, p, q) == brute
+        assert count_single(g, p, q, pivot="exact") == brute
 
     @SETTINGS
     @given(bigraphs())
@@ -79,9 +82,20 @@ class TestEPivoterProperties:
     @SETTINGS
     @given(bigraphs())
     def test_pivot_choice_irrelevant(self, g):
-        product = EPivoter(g, pivot="product").count_all(4, 4)
-        exact = EPivoter(g, pivot="exact").count_all(4, 4)
-        assert product == exact
+        brute = count_all_bicliques_brute(g, 4, 4)
+        assert EPivoter(g, pivot="product").count_all(4, 4) == brute
+        assert EPivoter(g, pivot="exact").count_all(4, 4) == brute
+
+    @SETTINGS
+    @given(bigraphs())
+    def test_runs_the_frontier_engine(self, g):
+        # These properties exercise the production engine: any graph
+        # with an edge expands at least one frontier batch.
+        if not g.num_edges:
+            return
+        obs = MetricsRegistry()
+        count_all(g, 4, 4, obs=obs)
+        assert obs.counters["epivoter.frontier_batches"] >= 1
 
 
 class TestMaximalBicliqueProperties:
