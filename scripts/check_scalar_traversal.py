@@ -1,13 +1,13 @@
 """Lint guard: no new per-node Python traversal loops in ``core/``.
 
-The exact engine's size-level walk is frontier-batched — whole levels
+The exact engine's only walk is frontier-batched — whole levels
 of the enumeration tree expand through vectorised kernels, so a
 ``stack.pop()`` driving a ``while`` loop in ``src/repro/core/`` is
 almost always a regression back to a per-node walk.  This script
 AST-walks every module there and flags each ``.pop()`` call inside a
 ``while`` loop unless its source line carries a ``# scalar-pop-ok``
-pragma (used by the set-level walk behind local counts, the MBCE
-baseline, and the frontier loop's whole-batch pops).
+pragma (used by the MBCE baseline and the frontier loop's
+whole-batch pops).
 
 Run from the repo root (CI lint job does)::
 

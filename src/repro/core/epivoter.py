@@ -26,12 +26,13 @@ also be fanned out over worker processes: pass ``workers=N`` to any entry
 point and the partial results are merged exactly (integer cells stay
 Python integers).
 
-Global and single-pair counts walk the tree with the **frontier**
-engine (:mod:`repro.core.frontier`), which expands whole
-level-synchronous batches of tree nodes with vectorised numpy kernels.
-Per-vertex (local) counts need vertex identities at every leaf, so they
-run the set-level walk :meth:`EPivoter._run_sets` over the same tree.
-Counts are exact Python integers either way.
+Every entry point walks the tree with the **frontier** engine
+(:mod:`repro.core.frontier`), which expands whole level-synchronous
+batches of tree nodes with vectorised numpy kernels.  Global and
+single-pair counts take leaves as set sizes; per-vertex (local) counts
+and :class:`~repro.core.sampler.BicliqueSampler` take them as vertex
+lists, which makes the batches carry vertex ids too.  Counts are exact
+Python integers either way.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from repro.core import frontier
 from repro.core.counts import BicliqueCounts
 from repro.graph.bigraph import BipartiteGraph
 from repro.graph.core_decomposition import core_for_biclique
-from repro.graph.intersect import intersect_size, intersect_sorted
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import NULL_TRACE
 from repro.utils.combinatorics import binomial
@@ -85,15 +85,6 @@ class CountBudgetExceeded(RuntimeError):
     """
 
 
-#: Wall-clock deadline checks happen every this many expanded nodes, so
-#: an armed deadline costs one ``perf_counter`` per block, not per node.
-_DEADLINE_CHECK_MASK = 255
-
-# A leaf contribution: (free_l, fixed_l, free_r, fixed_r, multiplier).
-# It represents `multiplier * C(free_l, p - fixed_l) * C(free_r, q - fixed_r)`
-# bicliques for every (p, q).
-LeafVisitor = Callable[[list[int], list[int], list[int], list[int], int, int], None]
-
 # Size-prune bounds for a single traversal, as (max_p, max_q, min_p, min_q).
 # A branch is cut when its held set already exceeds every requested p (or
 # q), or when it can no longer reach the smallest requested p (or q).
@@ -117,9 +108,8 @@ class EPivoter:
         ``|N(e, G')|``; ``"exact"`` computes the paper's criterion.
         Correctness does not depend on the choice, only tree size.
 
-    Global and single-pair counts run the frontier engine
-    (:mod:`repro.core.frontier`); local (per-vertex) counts run the
-    set-level walk, which carries vertex identities.
+    Every count runs the frontier engine (:mod:`repro.core.frontier`);
+    local (per-vertex) counts make it carry vertex identities.
 
     All counting entry points accept ``workers``: ``None``/``1`` run
     serially in-process, ``N > 1`` fan the root edges out over ``N``
@@ -135,30 +125,7 @@ class EPivoter:
             self.graph = graph
         else:
             self.graph, _, _ = graph.degree_ordered()
-        self._adj_left_cache: "list[set[int]] | None" = None
-        self._adj_right_cache: "list[set[int]] | None" = None
         self._frontier_graph = None
-
-    # Adjacency sets are the set-level walk's working representation;
-    # built lazily so engines that only count globally skip the
-    # O(n + m) set build.
-    @property
-    def _adj_left(self) -> "list[set[int]]":
-        if self._adj_left_cache is None:
-            g = self.graph
-            self._adj_left_cache = [
-                set(g.neighbors_left(u)) for u in range(g.n_left)
-            ]
-        return self._adj_left_cache
-
-    @property
-    def _adj_right(self) -> "list[set[int]]":
-        if self._adj_right_cache is None:
-            g = self.graph
-            self._adj_right_cache = [
-                set(g.neighbors_right(v)) for v in range(g.n_right)
-            ]
-        return self._adj_right_cache
 
     # ------------------------------------------------------------------
     # Public entry points
@@ -476,14 +443,14 @@ class EPivoter:
         result = {
             pair: ([0] * g.n_left, [0] * g.n_right) for pair in pairs
         }
-        self._run_sets(
-            _local_leaf_visitor(result), bounds=_pairs_bounds(pairs), obs=obs,
-            node_budget=node_budget, deadline=deadline,
+        self._run(
+            on_leaf=_local_leaf_visitor(result), bounds=_pairs_bounds(pairs),
+            obs=obs, node_budget=node_budget, deadline=deadline,
         )
         return result
 
     # ------------------------------------------------------------------
-    # Size-level traversal (global counting)
+    # Traversal
     # ------------------------------------------------------------------
 
     def _root_chunks(
@@ -500,7 +467,7 @@ class EPivoter:
 
     def _run(
         self,
-        visit: "Callable[[int, int, int, int, int], None]",
+        visit: "Callable[[int, int, int, int, int], None] | None" = None,
         left_region: "set[int] | None" = None,
         bounds: Bounds = None,
         roots: "list[tuple[int, int]] | None" = None,
@@ -509,12 +476,15 @@ class EPivoter:
         node_budget: "int | None" = None,
         deadline: "float | None" = None,
         trace=None,
+        on_leaf=None,
     ) -> None:
         """Run the frontier traversal over ``roots`` (default: every edge).
 
-        ``visit`` receives leaves as described in
-        :func:`repro.core.frontier.run_frontier`; ``left_region``
-        filters the roots by their left endpoint.
+        Leaves go to ``visit`` as set sizes
+        (:class:`repro.core.frontier.RecordSink`) or, when ``on_leaf``
+        is given, as vertex lists
+        (:class:`repro.core.frontier.LeafSink`); ``left_region`` filters
+        the roots by their left endpoint.
         """
         if roots is None:
             roots = self.graph.edges()
@@ -525,10 +495,14 @@ class EPivoter:
         ]
         if self._frontier_graph is None:
             self._frontier_graph = frontier.FrontierGraph(self.graph)
+        if on_leaf is None:
+            sink = frontier.RecordSink(visit)
+        else:
+            sink = frontier.LeafSink(on_leaf)
         frontier.run_frontier(
             self._frontier_graph,
             root_list,
-            visit,
+            sink,
             bounds=bounds,
             obs=obs,
             heartbeat=heartbeat,
@@ -537,196 +511,6 @@ class EPivoter:
             trace=trace,
             pivot=self.pivot,
         )
-
-    def _choose_pivot(
-        self,
-        edges: list[tuple[int, int]],
-        deg_l: dict[int, int],
-        deg_r: dict[int, int],
-        cand_l: list[int],
-        cand_r: list[int],
-    ) -> tuple[int, int]:
-        if self.pivot == "product":
-            return max(edges, key=lambda e: (deg_l[e[0]] - 1) * (deg_r[e[1]] - 1))
-        # Exact |N(e, G')|: pairs of (u', v') in G' with u' in N(v)\{u},
-        # v' in N(u)\{v} and (u', v') an edge of G'.  Candidate lists are
-        # sorted (children are filtered from sorted parents), so every
-        # side is one galloping intersection between a CSR row and the
-        # candidate list.
-        g = self.graph
-        best, best_score = edges[0], -1
-        for u, v in edges:
-            left_side = [x for x in intersect_sorted(g.row_right(v), cand_l) if x != u]
-            right_side = [y for y in intersect_sorted(g.row_left(u), cand_r) if y != v]
-            score = sum(intersect_size(g.row_left(x), right_side) for x in left_side)
-            if score > best_score:
-                best, best_score = (u, v), score
-        return best
-
-    # ------------------------------------------------------------------
-    # Set-level traversal (local counting needs vertex identities)
-    # ------------------------------------------------------------------
-
-    def _run_sets(
-        self,
-        on_leaf,
-        bounds: Bounds = None,
-        roots: "list[tuple[int, int]] | None" = None,
-        obs: "MetricsRegistry | None" = None,
-        heartbeat: "Heartbeat | None" = None,
-        node_budget: "int | None" = None,
-        deadline: "float | None" = None,
-    ) -> None:
-        """The set-level walk: like :meth:`_run` but leaves receive
-        vertex lists.
-
-        An explicit-stack DFS over the same tree, one node per
-        iteration.  ``node_budget`` / ``deadline`` abandon it with
-        :class:`CountBudgetExceeded`; the deadline is polled every
-        ``_DEADLINE_CHECK_MASK + 1`` nodes.
-
-        ``on_leaf(free_l, fixed_l, free_r, fixed_r, extra_pool, extra_min)``
-        describes the bicliques ``(X ∪ fixed_l, Y ∪ fixed_r ∪ S)`` with
-        ``X ⊆ free_l``, ``Y ⊆ free_r``, ``S ⊆ extra_pool``,
-        ``|S| >= extra_min``.
-        """
-        g = self.graph
-        adj_left = self._adj_left
-        adj_right = self._adj_right
-        if bounds is None:
-            max_p = max_q = None
-            min_p = min_q = 1
-        else:
-            max_p, max_q, min_p, min_q = bounds
-        if roots is None:
-            roots = g.edges()
-        track = obs is not None and obs.enabled
-        budgeted = node_budget is not None or deadline is not None
-        budget_nodes = 0
-        n_roots = nodes = leaves = 0
-        pivot_branches = edge_branches = 0
-        prune_size = prune_reach_l = prune_reach_r = 0
-        max_depth = 0
-        stack: list[
-            tuple[list[int], list[int], list[int], list[int], list[int], list[int]]
-        ] = []
-        push = stack.append
-        if deadline is not None and time.monotonic() >= deadline:
-            raise CountBudgetExceeded(
-                "deadline expired before the traversal started"
-            )
-        for root_u, root_v in roots:
-            n_roots += 1
-            push(
-                (
-                    list(g.higher_neighbors_of_right(root_v, root_u)),
-                    list(g.higher_neighbors_of_left(root_u, root_v)),
-                    [], [root_u], [], [root_v],
-                )
-            )
-            while stack:
-                if track:
-                    nodes += 1
-                    if len(stack) > max_depth:
-                        max_depth = len(stack)
-                if budgeted:
-                    budget_nodes += 1
-                    if node_budget is not None and budget_nodes > node_budget:
-                        raise CountBudgetExceeded(
-                            f"node budget of {node_budget} exhausted"
-                        )
-                    if (
-                        deadline is not None
-                        and (budget_nodes & _DEADLINE_CHECK_MASK) == 0
-                        and time.monotonic() >= deadline
-                    ):
-                        raise CountBudgetExceeded(
-                            f"deadline hit after {budget_nodes} nodes"
-                        )
-                if heartbeat is not None:
-                    heartbeat.tick()
-                cand_l, cand_r, p_l, h_l, p_r, h_r = stack.pop()  # scalar-pop-ok: vertex-identity walk
-                if max_p is not None:
-                    if len(h_l) > max_p or len(h_r) > max_q:
-                        prune_size += 1
-                        continue
-                    if len(p_l) + len(h_l) + len(cand_l) < min_p:
-                        prune_reach_l += 1
-                        continue
-                    if len(p_r) + len(h_r) + len(cand_r) < min_q:
-                        prune_reach_r += 1
-                        continue
-                cand_r_set = set(cand_r)
-                edges: list[tuple[int, int]] = []
-                deg_l: dict[int, int] = {}
-                deg_r: dict[int, int] = {}
-                for x in cand_l:
-                    hits = sorted(adj_left[x] & cand_r_set)
-                    if hits:
-                        deg_l[x] = len(hits)
-                        for y in hits:
-                            deg_r[y] = deg_r.get(y, 0) + 1
-                            edges.append((x, y))
-                if not edges:
-                    leaves += 1
-                    if cand_l and cand_r:
-                        on_leaf(p_l + cand_l, h_l, p_r, h_r, [], 0)
-                        on_leaf(p_l, h_l, p_r, h_r, cand_r, 1)
-                    else:
-                        on_leaf(p_l + cand_l, h_l, p_r + cand_r, h_r, [], 0)
-                    continue
-
-                pivot_u, pivot_v = self._choose_pivot(
-                    edges, deg_l, deg_r, cand_l, cand_r
-                )
-                nbr_v = adj_right[pivot_v]
-                nbr_u = adj_left[pivot_u]
-                new_l = [x for x in cand_l if x not in nbr_v] + [x for x in cand_l if x in nbr_v]
-                new_r = [y for y in cand_r if y not in nbr_u] + [y for y in cand_r if y in nbr_u]
-                pos_l = {x: i for i, x in enumerate(new_l)}
-                pos_r = {y: i for i, y in enumerate(new_r)}
-
-                for x, y in edges:
-                    if x in nbr_v and y in nbr_u:
-                        continue
-                    adj_y = adj_right[y]
-                    adj_x = adj_left[x]
-                    px, py = pos_l[x], pos_r[y]
-                    # Filter the *sorted* parent lists (same subset as
-                    # filtering new_l/new_r — pos carries the local
-                    # order), so candidate lists stay sorted at every
-                    # node and the exact pivot can use the CSR kernel.
-                    sub_l = [c for c in cand_l if pos_l[c] > px and c in adj_y]
-                    sub_r = [c for c in cand_r if pos_r[c] > py and c in adj_x]
-                    edge_branches += 1
-                    push((sub_l, sub_r, p_l, h_l + [x], p_r, h_r + [y]))
-
-                sub_l = [c for c in cand_l if c in nbr_v and c != pivot_u]
-                sub_r = [c for c in cand_r if c in nbr_u and c != pivot_v]
-                pivot_branches += 1
-                push((sub_l, sub_r, p_l + [pivot_u], h_l, p_r + [pivot_v], h_r))
-
-                pool = list(new_l)
-                for w in [x for x in new_l if x not in nbr_v]:
-                    pool.remove(w)
-                    on_leaf(p_l + pool, h_l + [w], p_r, h_r, [], 0)
-                pool_r = list(new_r)
-                for w in [y for y in new_r if y not in nbr_u]:
-                    pool_r.remove(w)
-                    on_leaf(p_l, h_l, p_r + pool_r, h_r + [w], [], 0)
-        if track:
-            _flush_traversal_stats(
-                obs,
-                n_roots,
-                nodes,
-                leaves,
-                pivot_branches,
-                edge_branches,
-                prune_size,
-                prune_reach_l,
-                prune_reach_r,
-                max_depth,
-            )
 
 
 # ----------------------------------------------------------------------
@@ -785,8 +569,8 @@ def _chunk_engine(pivot: str) -> EPivoter:
 
     The pool ships the graph a single time (see
     :mod:`repro.utils.parallel`); the engine built from it is memoised in
-    the worker cache so later chunks reuse its adjacency sets instead of
-    rebuilding them per chunk.  The shipped graph is already
+    the worker cache so later chunks reuse its frontier CSR views instead
+    of rebuilding them per chunk.  The shipped graph is already
     degree-ordered, so construction never relabels.
     """
     cache = worker_cache()
@@ -914,7 +698,8 @@ def _single_cell_visitor(p: int, q: int):
 def _local_leaf_visitor(
     result: dict[tuple[int, int], tuple[list[int], list[int]]],
 ):
-    """A set-level visitor accumulating per-vertex counts for many pairs."""
+    """An ``on_leaf`` callback accumulating per-vertex counts for many
+    pairs (see :class:`repro.core.frontier.LeafSink`)."""
 
     def on_leaf(free_l, fixed_l, free_r, fixed_r, extra_pool, extra_min):
         nf_l, nx_l = len(free_l), len(fixed_l)
@@ -1028,8 +813,8 @@ def _count_local_chunk(payload):
     obs = MetricsRegistry() if collect else None
     start = time.perf_counter()
     deadline = time.monotonic() + time_budget if time_budget is not None else None
-    engine._run_sets(
-        _local_leaf_visitor(result),
+    engine._run(
+        on_leaf=_local_leaf_visitor(result),
         bounds=_pairs_bounds(list(pairs)),
         roots=roots,
         obs=obs,

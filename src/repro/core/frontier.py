@@ -1,7 +1,8 @@
 """Level-synchronous (frontier-batched) EPivoter traversal.
 
-This is the only size-level walk of the edge-pivot enumeration tree
-(Algorithm 2).  Popping one tree node per loop iteration would let
+This is the only walk of the edge-pivot enumeration tree (Algorithm
+2): global, single-pair and per-vertex counts and the uniform sampler
+all run it.  Popping one tree node per loop iteration would let
 CPython interpreter overhead dominate, so the walk is structured
 GPU-style (after the level-synchronous formulation of "Accelerating
 Biclique Counting on GPU"): a whole *frontier* of tree nodes is
@@ -32,10 +33,14 @@ counters (nodes, leaves, branch and prune tallies) to literal values
 for both pivot rules, and checks every count against the brute-force
 oracle and the golden tables.
 
-Counts stay exact: leaf and case-5 contributions are *recorded* as
-small integer tuples, deduplicated with ``np.unique``, and only
-evaluated at the end with Python-integer binomials — numpy never
-computes a count, so there is no int64 overflow.
+Leaves go to a *sink*, and the sink decides what the walk carries.
+Size-level counts use :class:`RecordSink`: leaf and case-5
+contributions are *recorded* as small integer tuples, deduplicated
+with ``np.unique``, and only evaluated at the end with Python-integer
+binomials — numpy never computes a count, so there is no int64
+overflow.  Per-vertex counts and sampling use :class:`LeafSink`: the
+batches then also carry the vertex ids of the pivot and held sets,
+and every leaf reaches the caller as vertex lists.
 
 Budgets: :class:`~repro.core.epivoter.CountBudgetExceeded` is raised
 if and only if the tree has more than ``node_budget`` nodes (every
@@ -68,6 +73,8 @@ if TYPE_CHECKING:
 __all__ = [
     "DEFAULT_BATCH_CAP",
     "FrontierGraph",
+    "LeafSink",
+    "RecordSink",
     "run_frontier",
 ]
 
@@ -152,11 +159,14 @@ class _Batch:
     (``ar``/``aroff`` mirrored on the right); ``pl/hl/pr/hr`` are the
     pivot-set and held-set *sizes* of Algorithm 2's six node sets, and
     ``level`` the node's depth in the enumeration tree (roots are 1).
+    ``ids`` is ``None`` on size-level walks; under a :class:`LeafSink`
+    it holds the vertex ids of ``(P_l, H_l, P_r, H_r)`` as four
+    ``(arena, offsets)`` pairs packed like the candidate sets.
     """
 
-    __slots__ = ("al", "aloff", "ar", "aroff", "pl", "hl", "pr", "hr", "level")
+    __slots__ = ("al", "aloff", "ar", "aroff", "pl", "hl", "pr", "hr", "level", "ids")
 
-    def __init__(self, al, aloff, ar, aroff, pl, hl, pr, hr, level):
+    def __init__(self, al, aloff, ar, aroff, pl, hl, pr, hr, level, ids=None):
         self.al = al
         self.aloff = aloff
         self.ar = ar
@@ -166,6 +176,7 @@ class _Batch:
         self.pr = pr
         self.hr = hr
         self.level = level
+        self.ids = ids
 
     @property
     def size(self) -> int:
@@ -173,27 +184,61 @@ class _Batch:
 
     @property
     def arena_bytes(self) -> int:
-        return int(
+        total = (
             self.al.nbytes
             + self.ar.nbytes
             + self.aloff.nbytes
             + self.aroff.nbytes
             + 5 * self.pl.nbytes
         )
+        if self.ids is not None:
+            total += sum(arena.nbytes + off.nbytes for arena, off in self.ids)
+        return int(total)
+
+
+#: A batch's per-node vectors, in constructor order after the arenas.
+_VECTORS = ("pl", "hl", "pr", "hr", "level")
+
+
+def _cat(a, b):
+    """Concatenate two ``(arena, offsets)`` pairs (``b``'s offsets rebased)."""
+    return np.concatenate([a[0], b[0]]), np.concatenate([a[1], b[1][1:] + a[1][-1]])
+
+
+def _cut(pair, start: int, stop: int):
+    """Nodes ``start:stop`` of an ``(arena, offsets)`` pair (arena a view)."""
+    arena, off = pair
+    return arena[off[start] : off[stop]], off[start : stop + 1] - off[start]
+
+
+def _take(pair, idx):
+    """Nodes ``idx`` of an ``(arena, offsets)`` pair, gathered."""
+    arena, off = pair
+    return gather_slices(arena, off[idx], off[idx + 1] - off[idx])
+
+
+def _grow(pair, parents, tail, first: int):
+    """Child id sets: child ``j`` copies the set of node ``parents[j]``;
+    children ``first .. first + len(tail) - 1`` also append ``tail``."""
+    arena, off = pair
+    lens = np.diff(off)[parents]
+    grown = lens.copy()
+    grown[first : first + tail.size] += 1
+    new_off = exclusive_cumsum(grown)
+    out = np.empty(int(new_off[-1]), dtype=np.int64)
+    vals, old_off = gather_slices(arena, off[parents], lens)
+    out[np.arange(vals.size) + np.repeat(new_off[:-1] - old_off[:-1], lens)] = vals
+    out[new_off[first + 1 : first + tail.size + 1] - 1] = tail
+    return out, new_off
 
 
 def _merge(a: _Batch, b: _Batch) -> _Batch:
     """Concatenate two batches (offsets rebased; levels may differ)."""
     return _Batch(
-        np.concatenate([a.al, b.al]),
-        np.concatenate([a.aloff, b.aloff[1:] + a.aloff[-1]]),
-        np.concatenate([a.ar, b.ar]),
-        np.concatenate([a.aroff, b.aroff[1:] + a.aroff[-1]]),
-        np.concatenate([a.pl, b.pl]),
-        np.concatenate([a.hl, b.hl]),
-        np.concatenate([a.pr, b.pr]),
-        np.concatenate([a.hr, b.hr]),
-        np.concatenate([a.level, b.level]),
+        *_cat((a.al, a.aloff), (b.al, b.aloff)),
+        *_cat((a.ar, a.aroff), (b.ar, b.aroff)),
+        *(np.concatenate([getattr(a, f), getattr(b, f)]) for f in _VECTORS),
+        None if a.ids is None else tuple(map(_cat, a.ids, b.ids)),
     )
 
 
@@ -205,17 +250,13 @@ def _split(batch: _Batch, cap: int) -> list[_Batch]:
     out = []
     for start in range(0, n, cap):
         stop = min(start + cap, n)
+        ids = batch.ids
         out.append(
             _Batch(
-                batch.al[batch.aloff[start] : batch.aloff[stop]],
-                batch.aloff[start : stop + 1] - batch.aloff[start],
-                batch.ar[batch.aroff[start] : batch.aroff[stop]],
-                batch.aroff[start : stop + 1] - batch.aroff[start],
-                batch.pl[start:stop],
-                batch.hl[start:stop],
-                batch.pr[start:stop],
-                batch.hr[start:stop],
-                batch.level[start:stop],
+                *_cut((batch.al, batch.aloff), start, stop),
+                *_cut((batch.ar, batch.aroff), start, stop),
+                *(getattr(batch, f)[start:stop] for f in _VECTORS),
+                None if ids is None else tuple(_cut(pair, start, stop) for pair in ids),
             )
         )
     return out
@@ -246,12 +287,17 @@ class _Tally:
         self.max_depth = 0
 
 
-class _RecordSink:
-    """Exact-integer leaf bookkeeping, deduplicated before evaluation.
+class RecordSink:
+    """Size-level leaf output: exact-integer records, deduplicated
+    before evaluation.
+
+    ``visit(free_l, fixed_l, free_r, fixed_r, multiplier)`` adds
+    ``multiplier * C(free_l, p - fixed_l) * C(free_r, q - fixed_r)``
+    to every (p, q) cell, where ``free_*``/``fixed_*`` are set sizes.
 
     Leaf and case-5 contributions are pure functions of a handful of
     small integers, and real traversals hit the same signatures over and
-    over.  Batches append their raw record rows; :meth:`replay` runs one
+    over.  Batches append their raw record rows; :meth:`finish` runs one
     ``np.unique`` per kind over the whole traversal's rows and evaluates
     every *unique* record once with Python-integer binomials (exactness,
     no int64 overflow), handing the occurrence count to the visitor as
@@ -269,14 +315,32 @@ class _RecordSink:
     * ``CR`` — mirrored on the right.
     """
 
-    __slots__ = ("_raw",)
+    __slots__ = ("visit", "_raw")
 
-    def __init__(self):
+    carries_ids = False
+
+    def __init__(self, visit):
+        self.visit = visit
         self._raw = {kind: [] for kind in ("S", "R", "CL", "CR")}
 
-    def add(self, kind: str, rows) -> None:
-        if rows.shape[0]:
-            self._raw[kind].append(rows)
+    def _add(self, kind: str, *columns) -> None:
+        self._raw[kind].append(np.stack(columns, axis=1))
+
+    def leaves(self, node: _Batch, leaf, nl, nr) -> None:
+        """Record the leaves ``leaf`` (indices into ``node``)."""
+        both = (nl[leaf] > 0) & (nr[leaf] > 0)
+        b = leaf[both]
+        if b.size:
+            self._add("R", node.pl[b], node.hl[b], node.pr[b], node.hr[b], nl[b], nr[b])
+        s = leaf[~both]
+        if s.size:
+            self._add("S", node.pl[s] + nl[s], node.hl[s], node.pr[s] + nr[s], node.hr[s])
+
+    def case5(self, side: str, node: _Batch, nodes, n, t, rank) -> None:
+        """Record the case-5 loops of ``nodes`` on ``side`` (``"L"``/``"R"``):
+        ``t`` pivot non-neighbors out of ``n`` candidates."""
+        c = nodes
+        self._add("C" + side, node.pl[c], node.hl[c], node.pr[c], node.hr[c], n[c], t[c])
 
     def _folded(self, kind: str):
         """``(row_tuple_list, count_list)`` over every row added so far."""
@@ -308,7 +372,7 @@ class _RecordSink:
         uniq, counts = np.unique(rows, axis=0, return_counts=True)
         return uniq.tolist(), counts.tolist()
 
-    def replay(self, visit, bounds=None) -> None:
+    def finish(self, bounds=None) -> None:
         """Evaluate every unique record through the size-level visitor.
 
         ``bounds`` (the traversal's ``(max_p, max_q, min_p, min_q)``)
@@ -325,6 +389,7 @@ class _RecordSink:
         ``sum_{f=lo..hi} C(f, a) = C(hi+1, a+1) - C(lo, a+1)``;
         otherwise the generic per-k loop runs.
         """
+        visit = self.visit
         cap_q = None if bounds is None else bounds[1]
         left_run = getattr(visit, "left_run", None)
         right_run = getattr(visit, "right_run", None)
@@ -353,6 +418,69 @@ class _RecordSink:
                 continue
             for k in range(1, t_r + 1):
                 visit(pl, hl, pr + n_r - k, hr + 1, c)
+
+
+def _lists(pair, idx) -> "list[list[int]]":
+    """Nodes ``idx`` of an ``(arena, offsets)`` pair as Python lists."""
+    flat, off = _take(pair, idx)
+    flat = flat.tolist()
+    off = off.tolist()
+    return [flat[a:b] for a, b in zip(off, off[1:])]
+
+
+class LeafSink:
+    """Vertex-identity leaf output, for per-vertex counts and sampling.
+
+    Batches walked under this sink carry the vertex ids of the pivot
+    and held sets (:attr:`_Batch.ids`), and every leaf and case-5 step
+    goes straight to
+    ``on_leaf(free_l, fixed_l, free_r, fixed_r, extra_pool, extra_min)``,
+    describing the bicliques ``(X ∪ fixed_l, Y ∪ fixed_r ∪ S)`` with
+    ``X ⊆ free_l``, ``Y ⊆ free_r``, ``S ⊆ extra_pool`` and
+    ``|S| >= extra_min`` (all arguments are lists of vertex ids).
+    """
+
+    __slots__ = ("on_leaf",)
+
+    carries_ids = True
+
+    def __init__(self, on_leaf):
+        self.on_leaf = on_leaf
+
+    def leaves(self, node: _Batch, leaf, nl, nr) -> None:
+        on_leaf = self.on_leaf
+        p_l, h_l, p_r, h_r = (_lists(pair, leaf) for pair in node.ids)
+        c_l = _lists((node.al, node.aloff), leaf)
+        c_r = _lists((node.ar, node.aroff), leaf)
+        for pl, hl, pr, hr, cl, cr in zip(p_l, h_l, p_r, h_r, c_l, c_r):
+            if cl and cr:
+                # No right candidate kept: left candidates free; else at
+                # least one right candidate, excluding every left one.
+                on_leaf(pl + cl, hl, pr, hr, [], 0)
+                on_leaf(pl, hl, pr, hr, cr, 1)
+            else:
+                on_leaf(pl + cl, hl, pr + cr, hr, [], 0)
+
+    def case5(self, side: str, node: _Batch, nodes, n, t, rank) -> None:
+        """The k-th pivot non-neighbor ``w`` (local order, ``rank``) is
+        held, the candidates ranked after it stay free."""
+        on_leaf = self.on_leaf
+        arena, off = (node.al, node.aloff) if side == "L" else (node.ar, node.aroff)
+        ordered = np.empty_like(arena)
+        ordered[np.repeat(off[:-1], n) + rank] = arena
+        p_l, h_l, p_r, h_r = (_lists(ids, nodes) for ids in node.ids)
+        cands = _lists((ordered, off), nodes)
+        for pl, hl, pr, hr, cand, t_i in zip(
+            p_l, h_l, p_r, h_r, cands, t[nodes].tolist()
+        ):
+            for k in range(1, t_i + 1):
+                if side == "L":
+                    on_leaf(pl + cand[k:], hl + [cand[k - 1]], pr, hr, [], 0)
+                else:
+                    on_leaf(pl, hl, pr + cand[k:], hr + [cand[k - 1]], [], 0)
+
+    def finish(self, bounds=None) -> None:
+        """Nothing is deferred: leaves were delivered as they were found."""
 
 
 def _segment_ranks(flags, node_of, offsets, n_nodes):
@@ -427,9 +555,10 @@ def _butterfly_scores(e_flat, rpos, deg_r, col_order, col_start, row_start):
     return score
 
 
-def _root_batch(fg: FrontierGraph, roots) -> _Batch:
+def _root_batch(fg: FrontierGraph, roots, carry_ids: bool) -> _Batch:
     """The level-1 batch: one node per root edge, candidate sets
-    ``N^{>u}(v)`` / ``N^{>v}(u)`` sliced from the CSR in one gather."""
+    ``N^{>u}(v)`` / ``N^{>v}(u)`` sliced from the CSR in one gather
+    (with ``carry_ids``, ``H_l = {u}``, ``H_r = {v}`` and empty ``P``)."""
     n = len(roots)
     us = np.fromiter((edge[0] for edge in roots), dtype=np.int64, count=n)
     vs = np.fromiter((edge[1] for edge in roots), dtype=np.int64, count=n)
@@ -441,13 +570,18 @@ def _root_batch(fg: FrontierGraph, roots) -> _Batch:
     ar, aroff = gather_slices(fg.indices_l, lo, fg.indptr_l[us + 1] - lo)
     zeros = np.zeros(n, dtype=np.int64)
     ones = np.ones(n, dtype=np.int64)
+    ids = None
+    if carry_ids:
+        empty = (np.empty(0, dtype=np.int64), np.zeros(n + 1, dtype=np.int64))
+        single = np.arange(n + 1, dtype=np.int64)
+        ids = (empty, (us, single), empty, (vs, single))
     return _Batch(
         al, aloff, ar, aroff,
-        zeros, ones, zeros.copy(), ones.copy(), ones.copy(),
+        zeros, ones, zeros.copy(), ones.copy(), ones.copy(), ids,
     )
 
 
-def _expand(fg: FrontierGraph, batch: _Batch, bounds, sink: _RecordSink,
+def _expand(fg: FrontierGraph, batch: _Batch, bounds, sink,
             tally: _Tally, pivot: str) -> "list[_Batch]":
     """Expand one batch: prune, intersect, pick pivots, build children.
 
@@ -484,6 +618,10 @@ def _expand(fg: FrontierGraph, batch: _Batch, bounds, sink: _RecordSink,
     pr = pr[keep]
     hr = hr[keep]
     level = level[keep]
+    ids = batch.ids
+    if ids is not None:
+        ids = tuple(_take(pair, keep) for pair in ids)
+    node = _Batch(al, aloff, ar, aroff, pl, hl, pr, hr, level, ids)
     k = keep.size
     nl = np.diff(aloff)
     nr = np.diff(aroff)
@@ -519,17 +657,7 @@ def _expand(fg: FrontierGraph, batch: _Batch, bounds, sink: _RecordSink,
     leaf = np.nonzero(edges_per_node == 0)[0]
     if leaf.size:
         tally.leaves += int(leaf.size)
-        both = (nl[leaf] > 0) & (nr[leaf] > 0)
-        b = leaf[both]
-        if b.size:
-            sink.add(
-                "R", np.stack([pl[b], hl[b], pr[b], hr[b], nl[b], nr[b]], axis=1)
-            )
-        s = leaf[~both]
-        if s.size:
-            sink.add(
-                "S", np.stack([pl[s] + nl[s], hl[s], pr[s] + nr[s], hr[s]], axis=1)
-            )
+        sink.leaves(node, leaf, nl, nr)
     live = np.nonzero(edges_per_node > 0)[0]
     if live.size == 0:
         return []
@@ -573,26 +701,12 @@ def _expand(fg: FrontierGraph, batch: _Batch, bounds, sink: _RecordSink,
     rank_r, t_r = _segment_ranks(y_adj, rnode, aroff, k)
 
     # --- case 5: one-sided bicliques holding a pivot non-neighbor
-    tl_live = t_l[live]
-    c5 = live[tl_live > 0]
+    c5 = live[t_l[live] > 0]
     if c5.size:
-        sink.add(
-            "CL",
-            np.stack(
-                [pl[c5], hl[c5], pr[c5], hr[c5], nl[c5], tl_live[tl_live > 0]],
-                axis=1,
-            ),
-        )
-    tr_live = t_r[live]
-    c5 = live[tr_live > 0]
+        sink.case5("L", node, c5, nl, t_l, rank_l)
+    c5 = live[t_r[live] > 0]
     if c5.size:
-        sink.add(
-            "CR",
-            np.stack(
-                [pl[c5], hl[c5], pr[c5], hr[c5], nr[c5], tr_live[tr_live > 0]],
-                axis=1,
-            ),
-        )
+        sink.case5("R", node, c5, nr, t_r, rank_r)
 
     # --- case 6: one child per candidate edge not covered by the pivot
     covered = x_adj[e_flat] & y_adj[rpos]
@@ -635,6 +749,15 @@ def _expand(fg: FrontierGraph, batch: _Batch, bounds, sink: _RecordSink,
         [np.bincount(sub_r_child, minlength=n_edge_children), pv_r_counts]
     )
     edge_parent = e_node[unc]
+    if ids is not None:
+        # Edge children hold (x, y); pivot children add the pivot to P.
+        parents = np.concatenate([edge_parent, live])
+        ids = (
+            _grow(ids[0], parents, pivot_u, n_edge_children),
+            _grow(ids[1], parents, al[e_flat[unc]], 0),
+            _grow(ids[2], parents, pivot_v, n_edge_children),
+            _grow(ids[3], parents, ar[rpos[unc]], 0),
+        )
     child = _Batch(
         np.concatenate([sub_l_vals, al[pv_mask_l]]),
         exclusive_cumsum(counts_l),
@@ -645,6 +768,7 @@ def _expand(fg: FrontierGraph, batch: _Batch, bounds, sink: _RecordSink,
         np.concatenate([pr[edge_parent], pr[live] + 1]),
         np.concatenate([hr[edge_parent] + 1, hr[live]]),
         np.concatenate([level[edge_parent], level[live]]) + 1,
+        ids,
     )
     return [child]
 
@@ -652,7 +776,7 @@ def _expand(fg: FrontierGraph, batch: _Batch, bounds, sink: _RecordSink,
 def run_frontier(
     fg: FrontierGraph,
     roots: "list[tuple[int, int]]",
-    visit,
+    sink: "RecordSink | LeafSink",
     bounds=None,
     obs: "MetricsRegistry | None" = None,
     heartbeat: "Heartbeat | None" = None,
@@ -662,11 +786,11 @@ def run_frontier(
     batch_cap: int = DEFAULT_BATCH_CAP,
     pivot: str = "product",
 ) -> None:
-    """Run the traversal over ``roots``; ``visit`` receives leaves.
+    """Run the traversal over ``roots``; ``sink`` receives leaves.
 
-    ``visit(free_l, fixed_l, free_r, fixed_r, multiplier)`` adds
-    ``multiplier * C(free_l, p - fixed_l) * C(free_r, q - fixed_r)``
-    to every (p, q) cell, where ``free_*``/``fixed_*`` are set sizes.
+    A :class:`RecordSink` gets set sizes (global and single-pair
+    counts); a :class:`LeafSink` makes the batches carry vertex ids and
+    gets vertex lists (local counts, sampling).  Both see the same tree.
     ``bounds`` is ``(max_p, max_q, min_p, min_q)`` or ``None`` (no size
     pruning); ``pivot`` is ``"product"`` or ``"exact"`` (see
     :class:`~repro.core.epivoter.EPivoter`).  ``node_budget`` /
@@ -681,7 +805,6 @@ def run_frontier(
 
     if deadline is not None and time.monotonic() >= deadline:
         raise CountBudgetExceeded("deadline expired before the traversal started")
-    sink = _RecordSink()
     tally = _Tally()
     tally.roots = len(roots)
     track = obs is not None and obs.enabled
@@ -695,7 +818,7 @@ def run_frontier(
     tail_seconds = 0.0
     pending: list[_Batch] = []
     if roots:
-        pending.extend(_split(_root_batch(fg, roots), batch_cap))
+        pending.extend(_split(_root_batch(fg, roots, sink.carries_ids), batch_cap))
     while pending:
         batch = pending.pop()  # scalar-pop-ok: pops a whole frontier batch
         while batch.size < _MIN_BATCH and pending:
@@ -735,7 +858,7 @@ def run_frontier(
             nodes=tail_nodes,
             aggregated=True,
         )
-    sink.replay(visit, bounds=bounds)
+    sink.finish(bounds)
     if track:
         _flush_traversal_stats(
             obs,

@@ -81,7 +81,7 @@ class BicliqueSampler:
                     )
                     weights.append(count)
 
-        engine._run_sets(on_leaf, bounds=(p, q, p, q))
+        engine._run(on_leaf=on_leaf, bounds=(p, q, p, q))
         self.count = sum(weights)
         if weights:
             # float64 cumulative weights are fine for sampling probabilities;

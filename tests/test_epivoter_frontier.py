@@ -1,11 +1,13 @@
 """The frontier engine against the oracles, and its pinned tree shape.
 
-The frontier engine is the only size-level walk of the EPivoter
-enumeration tree, for both pivot rules.  These tests check it three
-ways:
+The frontier engine is the only walk of the EPivoter enumeration
+tree, for both pivot rules and for both leaf outputs (set sizes for
+global counts, vertex lists for local counts).  These tests check it
+three ways:
 
 * counts against the brute-force oracle (seeded ER + Chung–Lu sweeps,
-  serial and parallel) and against the golden tables;
+  serial and parallel, global and per-vertex) and against the golden
+  tables;
 * the tree itself, through literal traversal counters (nodes, leaves,
   branch and prune tallies) recorded from the node-at-a-time walk this
   engine replaced, so any change to the tree shows up as a diff;
@@ -18,8 +20,14 @@ import random
 
 import pytest
 
-from repro.baselines.brute import count_all_bicliques_brute
-from repro.core.epivoter import CountBudgetExceeded, EPivoter
+from repro.baselines.brute import count_all_bicliques_brute, local_counts_brute
+from repro.core.epivoter import (
+    CountBudgetExceeded,
+    EPivoter,
+    _local_leaf_visitor,
+    count_local,
+)
+from repro.core.frontier import DEFAULT_BATCH_CAP, FrontierGraph, LeafSink, run_frontier
 from repro.graph.datasets import load_dataset
 from repro.graph.generators import chung_lu_bipartite, erdos_renyi_bipartite
 from repro.obs.registry import MetricsRegistry
@@ -45,6 +53,8 @@ COUNTERS = (
 #: ``PINNED[seed][pivot]`` — one entry per graph of ``_random_models(seed)``,
 #: each ``(count_all(4, 4) counters, count_single(3, 3) counters)`` in
 #: ``COUNTERS`` order (``count_single`` without the core reduction).
+#: ``count_local_many(LOCAL_PAIRS)`` prunes with the same bounds as
+#: ``count_all(4, 4)``, so it must hit the first tuple too.
 PINNED = {
     0: {
         "product": [
@@ -85,6 +95,11 @@ PINNED = {
 }
 
 
+#: Local-count pairs whose size bounds are ``count_all(4, 4)``'s
+#: ``(4, 4, 1, 1)``.
+LOCAL_PAIRS = [(1, 1), (4, 4)]
+
+
 def _random_models(seed: int):
     """One small random, one ER and one Chung–Lu instance per seed."""
     rng = random.Random(seed)
@@ -95,14 +110,6 @@ def _random_models(seed: int):
 
 def _counters(obs: MetricsRegistry) -> tuple:
     return tuple(obs.counters.get(f"epivoter.{name}", 0) for name in COUNTERS)
-
-
-def _local_sum(engine: EPivoter, p: int, q: int) -> int:
-    """(p, q) count from the set-level walk: each biclique has p left
-    vertices, so the left per-vertex counts sum to p times the count."""
-    left, _ = engine.count_local(p, q)
-    assert sum(left) % p == 0
-    return sum(left) // p
 
 
 class TestRandomSweep:
@@ -117,24 +124,32 @@ class TestRandomSweep:
 
     @pytest.mark.parametrize("workers", [2, 4])
     def test_parallel_frontier_matches_serial_scalar(self, workers):
-        # The serial reference is the set-level walk (one node per
-        # iteration) and, independently, the brute-force oracle.
+        # The reference is the brute-force oracle, for the global
+        # matrix and for serial and parallel per-vertex counts; each
+        # biclique has p left vertices, so the left per-vertex counts
+        # sum to p times the (p, q) cell.
         g = erdos_renyi_bipartite(30, 24, 0.2, seed=workers)
-        engine = EPivoter(g)
-        frontier = engine.count_all(4, 4, workers=workers)
+        frontier = EPivoter(g).count_all(4, 4, workers=workers)
         assert frontier == count_all_bicliques_brute(g, 4, 4)
         for p, q in ((2, 2), (3, 2), (4, 4)):
-            assert frontier[p, q] == _local_sum(engine, p, q), (p, q)
+            brute = local_counts_brute(g, p, q)
+            assert count_local(g, p, q) == brute, (p, q)
+            assert count_local(g, p, q, workers=workers) == brute, (p, q)
+            assert frontier[p, q] * p == sum(brute[0]), (p, q)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_traversal_counters_bit_identical(self, seed):
         # Same tree => same nodes/leaves/branch/prune tallies, for both
-        # pivot rules, an unpruned and a pruned traversal.
+        # pivot rules, an unpruned and a pruned traversal, and for the
+        # local walk, which carries vertex ids through the same tree.
         for pivot, expected in PINNED[seed].items():
             for g, (want_all, want_single) in zip(_random_models(seed), expected):
                 engine = EPivoter(g, pivot=pivot)
                 obs = MetricsRegistry()
                 engine.count_all(4, 4, obs=obs)
+                assert _counters(obs) == want_all, pivot
+                obs = MetricsRegistry()
+                engine.count_local_many(LOCAL_PAIRS, obs=obs)
                 assert _counters(obs) == want_all, pivot
                 obs = MetricsRegistry()
                 engine.count_single(3, 3, use_core=False, obs=obs)
@@ -161,8 +176,8 @@ class TestGoldenDatasets:
 
 
 class TestBudgetEquivalence:
-    """Budgets trip exactly at the tree size, in both walks: the
-    frontier (size-level) and the scalar set-level walk."""
+    """Budgets trip exactly at the tree size, for both leaf outputs:
+    size-level counts and local (vertex-identity) counts."""
 
     def test_raise_boundary_is_identical(self):
         # The (3, 3) tree of this graph has 87 nodes (product pivot),
@@ -180,6 +195,17 @@ class TestBudgetEquivalence:
                     3, 3, use_core=False, node_budget=budget
                 )
 
+    def test_local_raise_boundary_is_identical(self):
+        g = erdos_renyi_bipartite(16, 14, 0.3, seed=17)
+        obs = MetricsRegistry()
+        expected = EPivoter(g).count_local_many(LOCAL_PAIRS, obs=obs)
+        nodes = obs.counters["epivoter.nodes_expanded"]
+        assert nodes > 1
+        bounded = EPivoter(g).count_local_many(LOCAL_PAIRS, node_budget=nodes)
+        assert bounded == expected
+        with pytest.raises(CountBudgetExceeded):
+            EPivoter(g).count_local_many(LOCAL_PAIRS, node_budget=nodes - 1)
+
     @staticmethod
     def _walk(walk: str, g, **budgets):
         engine = EPivoter(g)
@@ -187,12 +213,12 @@ class TestBudgetEquivalence:
             return engine.count_single(2, 2, use_core=False, **budgets)
         return engine.count_local_many([(2, 2)], **budgets)
 
-    @pytest.mark.parametrize("walk", ["scalar", "frontier"])
+    @pytest.mark.parametrize("walk", ["local", "frontier"])
     def test_tiny_node_budget_trips(self, walk):
         with pytest.raises(CountBudgetExceeded):
             self._walk(walk, complete_bigraph(8, 8), node_budget=3)
 
-    @pytest.mark.parametrize("walk", ["scalar", "frontier"])
+    @pytest.mark.parametrize("walk", ["local", "frontier"])
     def test_zero_time_budget_trips_before_traversal(self, walk):
         with pytest.raises(CountBudgetExceeded):
             self._walk(walk, complete_bigraph(8, 8), time_budget=0.0)
@@ -230,3 +256,38 @@ class TestModeSelection:
             assert obs.counters["epivoter.frontier_batches"] >= 1, pivot
             assert obs.gauges["epivoter.frontier_max_width"] >= 1, pivot
             assert obs.gauges["epivoter.arena_bytes"] >= 1, pivot
+
+    def test_arena_gauge_counts_id_arenas(self):
+        # Local counts walk the same tree but carry the pivot and held
+        # vertex ids, which the arena gauge must include.
+        g = chung_lu_bipartite(40, 40, 160, seed=1)
+        engine = EPivoter(g)
+        sizes = MetricsRegistry()
+        engine.count_all(4, 4, obs=sizes)
+        local = MetricsRegistry()
+        engine.count_local_many(LOCAL_PAIRS, obs=local)
+        assert (
+            local.counters["epivoter.nodes_expanded"]
+            == sizes.counters["epivoter.nodes_expanded"]
+        )
+        assert (
+            local.gauges["epivoter.arena_bytes"]
+            > sizes.gauges["epivoter.arena_bytes"]
+        )
+
+
+class TestBatchGeometry:
+    """Splits and merges move the vertex-id arenas with their nodes."""
+
+    @pytest.mark.parametrize("batch_cap", [1, 7, DEFAULT_BATCH_CAP])
+    def test_local_counts_independent_of_batch_cap(self, batch_cap):
+        g, _, _ = chung_lu_bipartite(40, 40, 160, seed=2).degree_ordered()
+        result = {(2, 2): ([0] * g.n_left, [0] * g.n_right)}
+        run_frontier(
+            FrontierGraph(g),
+            list(g.edges()),
+            LeafSink(_local_leaf_visitor(result)),
+            bounds=(2, 2, 2, 2),
+            batch_cap=batch_cap,
+        )
+        assert result[(2, 2)] == local_counts_brute(g, 2, 2)

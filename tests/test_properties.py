@@ -12,7 +12,7 @@ from repro.baselines.brute import (
     enumerate_maximal_bicliques_brute,
 )
 from repro.core.dpcount import count_zigzags
-from repro.core.epivoter import EPivoter, count_all, count_single
+from repro.core.epivoter import EPivoter, count_all, count_local, count_single
 from repro.core.mbce import enumerate_maximal_bicliques
 from repro.core.zigzag import star_counts
 from repro.core.counts import BicliqueCounts
@@ -90,11 +90,15 @@ class TestEPivoterProperties:
     @given(bigraphs())
     def test_runs_the_frontier_engine(self, g):
         # These properties exercise the production engine: any graph
-        # with an edge expands at least one frontier batch.
+        # with an edge expands at least one frontier batch, for global
+        # and for per-vertex counts.
         if not g.num_edges:
             return
         obs = MetricsRegistry()
         count_all(g, 4, 4, obs=obs)
+        assert obs.counters["epivoter.frontier_batches"] >= 1
+        obs = MetricsRegistry()
+        count_local(g, 1, 1, obs=obs)
         assert obs.counters["epivoter.frontier_batches"] >= 1
 
 
